@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -277,14 +278,16 @@ def cmd_eval(args) -> int:
 def cmd_verify(args) -> int:
     defaults = {"inject_fault": "", "out": ""}
     resolved = resolve_config("verify", args, defaults)
+    started = time.perf_counter()
     results = run_verification(inject_fault=resolved["inject_fault"] or None)
-    ok = main_report(results)
+    ok = main_report(results, checks_s=time.perf_counter() - started)
     return 0 if ok else 2
 
 
 def cmd_gradcheck(args) -> int:
+    started = time.perf_counter()
     results = run_gradcheck_suite()
-    ok = main_report(results)
+    ok = main_report(results, checks_s=time.perf_counter() - started)
     return 0 if ok else 2
 
 

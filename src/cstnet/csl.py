@@ -9,16 +9,28 @@ Per clip the stage features (T, C, H, W) are reduced along two routes:
   ReLU) keeping all C channels, whose per-channel spatial maps act as
   descriptors.
 
-For every frame t, each descriptor is compared by normalized cross
-correlation against all descriptors of the other T-1 frames, stacked into a
-correlation volume ((T-1)*H*W score channels per position for the spatial
-route, (T-1)*C per channel for the channel route; slots ordered by source
-frame ascending skipping t, then row-major position / channel index).  A 1x1
-convolution summarizes each volume into a spatial logit map (1 x H x W) and a
-channel logit vector (C x 1 x 1); the co-saliency gate is
-``sigmoid(spatial_logits * channel_logits)`` broadcast to C x H x W and is
-multiplied elementwise with the input features.  Single-frame clips have no
-co-frames: both logit maps default to zero, a neutral 0.5 gate.
+The model is defined on correlation volumes: for every frame t, each
+descriptor is compared by normalized cross correlation against all
+descriptors of the other T-1 frames ((T-1)*H*W score channels per position
+for the spatial route, (T-1)*C per channel for the channel route; slots
+ordered by source frame ascending skipping t, then row-major position /
+channel index), and a 1x1 "summarize" convolution collapses each volume into
+a spatial logit map (1 x H x W) and a channel logit vector (C x 1 x 1).  The
+co-saliency gate is ``sigmoid(spatial_logits * channel_logits)`` broadcast to
+C x H x W and is multiplied elementwise with the input features.
+Single-frame clips have no co-frames: both logit maps are zero, a neutral 0.5
+gate.
+
+The summarize convolution is linear in the volume, so the forward never
+builds one.  With ``nd`` the standardized descriptors (n per frame, d
+entries each) and W the summarize weight viewed as (T-1, n),
+
+    z[t, p] = bias + nd_t[p] . u_t / d,   u_t = sum_{k != t} sum_q W[slot(k, t), q] nd_k[q],
+
+computed for the whole batch with three matmuls (``_fused_logits``): cost
+O(T^2 * n * d) instead of the volumes' O(T^2 * n^2 * d).  ``build_*_volume``
+and ``summarize_attention`` keep the materialized definition as the oracle
+that ``cstnet verify`` and the tests compare against.
 """
 
 from __future__ import annotations
@@ -31,7 +43,7 @@ import numpy as np
 from . import faults
 from .errors import ConfigError, ContractError, DimensionError
 from .nn import BatchNorm2d, Conv2d, Module
-from .tensor import (Tensor, adaptive_avg_pool2d, concat, index_select, matmul, mul,
+from .tensor import (Tensor, adaptive_avg_pool2d, add, constant, index_select, matmul, mul,
                      neg, permute, relu, reshape, scale, sigmoid, standardize)
 
 
@@ -168,6 +180,40 @@ def build_channel_volume(channel_desc: Tensor, frame: int, eps: float = 1e-5) ->
     return reshape(vol, ((t_len - 1) * c, c, 1, 1))
 
 
+def _gate(z_s: Tensor, z_c: Tensor) -> CoSaliencyAttention:
+    return CoSaliencyAttention(z_s=z_s, z_c=z_c, z=sigmoid(mul(z_s, z_c)))
+
+
+def _co_frame_selection(frames: int, dtype) -> np.ndarray:
+    """(T*T, T-1) 0/1 matrix: row t*T + k selects the volume slot of co-frame k
+    in frame t's volume (k ascending, skipping t); rows with k == t are zero."""
+    t, k = np.divmod(np.arange(frames * frames), frames)
+    rows = np.flatnonzero(t != k)
+    sel = np.zeros((frames * frames, frames - 1), dtype=dtype)
+    sel[rows, k[rows] - (k[rows] > t[rows])] = 1.0
+    return sel
+
+
+def _fused_logits(nd: Tensor, summarize: Conv2d) -> Tensor:
+    """Summarize-conv logits of every frame's correlation volume, without volumes.
+
+    ``nd`` is (B, T, n, d) standardized descriptors and ``summarize`` the 1x1
+    conv over the (T-1)*n volume slots.  Returns (B, T, n, 1) logits
+    ``bias + nd_t[p] . u_t / d`` (see the module docstring).
+    """
+    b, frames, n, d = nd.shape
+    weight = reshape(summarize.weight, (frames - 1, n))
+    sel = constant(_co_frame_selection(frames, weight.dtype))
+    mix = reshape(matmul(sel, weight), (frames, frames * n))        # [t, k*n + q]
+    u = matmul(permute(reshape(nd, (b, frames * n, d)), (0, 2, 1)),
+               permute(mix, (1, 0)))                                # (B, d, T)
+    u = reshape(permute(u, (0, 2, 1)), (b, frames, d, 1))
+    corr = scale(matmul(nd, u), 1.0 / d)
+    if faults.is_active("ncc-sign-flip"):
+        corr = neg(corr)
+    return add(corr, summarize.bias)
+
+
 def apply_cosaliency(f: Tensor, attention: CoSaliencyAttention) -> Tensor:
     """Gate features with the combined co-saliency map (pure multiplication)."""
     if f.shape != attention.z.shape:
@@ -219,6 +265,8 @@ class CoSaliencyLearning(Module):
                             channel_vols: Optional[Tensor]) -> CoSaliencyAttention:
         """Collapse stacked per-frame volumes into the spatial-channel gate.
 
+        This is the materialized definition that ``attention`` computes without
+        volumes; it is kept as the oracle for ``verify`` and the tests.
         ``spatial_vols``: (B, T, (T-1)*H*W, H, W); ``channel_vols``:
         (B, T, (T-1)*C, C, 1).  Either may be None (single-frame clips),
         in which case the corresponding logits are zero.
@@ -228,11 +276,7 @@ class CoSaliencyLearning(Module):
         if spatial_vols is None or channel_vols is None:
             if not (spatial_vols is None and channel_vols is None):
                 raise DimensionError("spatial and channel volumes must both be present or absent")
-            dtype = self.reduce_spatial.weight.dtype
-            z_s = Tensor(np.zeros((1, 1, 1, h, w), dtype=dtype))
-            z_c = Tensor(np.zeros((1, 1, c, 1, 1), dtype=dtype))
-            z = sigmoid(mul(z_s, z_c))
-            return CoSaliencyAttention(z_s=z_s, z_c=z_c, z=z)
+            return self._neutral_attention(1)
         b, t = spatial_vols.shape[0], spatial_vols.shape[1]
         if channel_vols.shape[0] != b or channel_vols.shape[1] != t:
             raise DimensionError(f"volume stacks disagree on frames: {spatial_vols.shape} "
@@ -243,8 +287,14 @@ class CoSaliencyLearning(Module):
         cv = reshape(channel_vols, (b * t,) + channel_vols.shape[2:])
         z_s = reshape(self.summarize_spatial(sv), (b, t, 1, h, w))
         z_c = reshape(self.summarize_channel(cv), (b, t, c, 1, 1))
-        z = sigmoid(mul(z_s, z_c))
-        return CoSaliencyAttention(z_s=z_s, z_c=z_c, z=z)
+        return _gate(z_s, z_c)
+
+    def _neutral_attention(self, batch: int) -> CoSaliencyAttention:
+        """Zero logits and the 0.5 gate of a clip without co-frames."""
+        dtype = self.reduce_spatial.weight.dtype
+        z_s = Tensor(np.zeros((batch, 1, 1, self.feat_h, self.feat_w), dtype=dtype))
+        z_c = Tensor(np.zeros((batch, 1, self.cfg.c_in, 1, 1), dtype=dtype))
+        return _gate(z_s, z_c)
 
     def attention(self, f: Tensor) -> CoSaliencyAttention:
         """Compute the co-saliency gate for (B, T, C, H, W) stage features."""
@@ -256,20 +306,12 @@ class CoSaliencyLearning(Module):
                                  f"got {h}x{w}")
         sd, cd = self.reduce_dims(f)
         if t == 1:
-            dtype = self.reduce_spatial.weight.dtype
-            z_s = Tensor(np.zeros((b, 1, 1, h, w), dtype=dtype))
-            z_c = Tensor(np.zeros((b, 1, c, 1, 1), dtype=dtype))
-            return CoSaliencyAttention(z_s=z_s, z_c=z_c, z=sigmoid(mul(z_s, z_c)))
-        nd_s = _standardized_spatial(sd, self.cfg.ncc_eps)
-        nd_c = _standardized_channel(cd, self.cfg.ncc_eps)
-        s_vols = []
-        c_vols = []
-        for frame in range(t):
-            sv = _volume_for_frame(nd_s, frame)            # (B, (T-1)HW, HW)
-            s_vols.append(reshape(sv, (b, 1, (t - 1) * h * w, h, w)))
-            cv = _volume_for_frame(nd_c, frame)            # (B, (T-1)C, C)
-            c_vols.append(reshape(cv, (b, 1, (t - 1) * c, c, 1)))
-        return self.summarize_attention(concat(s_vols, 1), concat(c_vols, 1))
+            return self._neutral_attention(b)
+        nd_s = _standardized_spatial(sd, self.cfg.ncc_eps)            # (B, T, HW, C_L)
+        nd_c = _standardized_channel(cd, self.cfg.ncc_eps)            # (B, T, C, H_L*W_L)
+        z_s = reshape(_fused_logits(nd_s, self.summarize_spatial), (b, t, 1, h, w))
+        z_c = reshape(_fused_logits(nd_c, self.summarize_channel), (b, t, c, 1, 1))
+        return _gate(z_s, z_c)
 
     def forward(self, f: Tensor) -> Tensor:
         return apply_cosaliency(f, self.attention(f))

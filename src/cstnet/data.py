@@ -73,12 +73,17 @@ class VideoDataset:
         ids = sorted({s.identity for s in self.sequences})
         if ids and ids != list(range(len(ids))):
             raise ContractError(f"identity ids must be dense in [0, n), got {ids}")
-        for s in self.sequences:
+        for i, s in enumerate(self.sequences):
             if s.split not in SPLITS:
                 raise ContractError(f"unknown split {s.split!r}")
             if s.frames.ndim != 4 or s.frames.shape[1] != 3 or len(s.frames) < 1:
                 raise ContractError(f"sequence frames must be (L>=1, 3, H, W), "
                                     f"got {s.frames.shape}")
+            if s.frames.shape[1:] != self.sequences[0].frames.shape[1:]:
+                h, w = s.frames.shape[2:]
+                h0, w0 = self.sequences[0].frames.shape[2:]
+                raise ContractError(f"sequence {i} (identity {s.identity}, camera {s.camera}, "
+                                    f"{s.split}) has {h}x{w} frames, sequence 0 has {h0}x{w0}")
         gallery = {(s.identity, s.camera) for s in self.of_split("gallery")}
         for q in self.of_split("query"):
             if not any(gid == q.identity and gcam != q.camera for gid, gcam in gallery):
@@ -338,7 +343,12 @@ def load_dataset(path) -> VideoDataset:
             raise FormatError(f"{fpath}: expected a (L, 3, H, W) frame stack, "
                               f"got shape {frames.shape}")
         sequences.append(SequenceRecord(identity, camera, split, frames.astype(np.float32)))
-    return VideoDataset(sequences)
+    dataset = VideoDataset(sequences)
+    try:
+        dataset.validate()
+    except ContractError as exc:
+        raise FormatError(f"{index}: {exc}") from None
+    return dataset
 
 
 def dataset_census(dataset: VideoDataset) -> dict:

@@ -1,10 +1,12 @@
 """PK batch construction and clip augmentation.
 
-A batch holds P identities with K clips each, T frames per clip.  Frames are
-an evenly spaced subsequence with a random offset; sequences shorter than T
-loop around.  Augmentation: whole-clip horizontal flips and per-frame random
-erasing (rectangle of 2-33% frame area, aspect 0.3-3.33, filled with the
-train-split pixel mean).
+A batch holds P identities with K clips each, T frames per clip.  An epoch
+deals the train identities out in shuffled order, P per batch, so each
+identity appears once per pass before any repeats (``epoch_identities``).
+Frames are an evenly spaced subsequence with a random offset; sequences
+shorter than T loop around.  Augmentation: whole-clip horizontal flips and
+per-frame random erasing (rectangle of 2-33% frame area, aspect 0.3-3.33,
+filled with the train-split pixel mean).
 """
 
 from __future__ import annotations
@@ -43,20 +45,55 @@ def sample_frame_indices(length: int, t: int, rng: np.random.Generator) -> np.nd
     return offset + stride * np.arange(t)
 
 
-def pk_sample(dataset: VideoDataset, p: int, k: int, t: int,
-              rng: np.random.Generator) -> PkBatch:
-    train = dataset.of_split("train")
+def _train_identities(dataset: VideoDataset) -> dict[int, list[int]]:
+    """Train identity -> indices of its train sequences in ``dataset.sequences``."""
     by_identity: dict[int, list[int]] = {}
     for idx, seq in enumerate(dataset.sequences):
         if seq.split == "train":
             by_identity.setdefault(seq.identity, []).append(idx)
+    return by_identity
+
+
+def epoch_identities(dataset: VideoDataset, p: int, steps: int,
+                     rng: np.random.Generator) -> list[np.ndarray]:
+    """The P identities of each of an epoch's ``steps`` batches.
+
+    Identities are dealt from a shuffled deck of all train identities and the
+    deck is reshuffled when fewer than P cards are left, so every batch holds
+    P distinct identities and an epoch of count // P batches sees each
+    identity exactly once.
+    """
+    ids = np.sort(np.array(list(_train_identities(dataset)), dtype=np.int64))
+    if len(ids) < p:
+        raise ContractError(f"need at least {p} identities with train sequences, "
+                            f"have {len(ids)}")
+    deck, batches = ids[:0], []
+    for _ in range(steps):
+        if len(deck) < p:
+            deck = rng.permutation(ids)
+        batches.append(deck[:p])
+        deck = deck[p:]
+    return batches
+
+
+def pk_sample(dataset: VideoDataset, p: int, k: int, t: int,
+              rng: np.random.Generator, identities=None) -> PkBatch:
+    """K clips of each of P identities: ``identities`` if given, else P drawn at random."""
+    by_identity = _train_identities(dataset)
     if len(by_identity) < p:
         raise ContractError(f"need at least {p} identities with train sequences, "
                             f"have {len(by_identity)}")
-    if not train:
+    if not by_identity:
         raise ContractError("dataset has no train split")
-    identities = np.sort(np.array(list(by_identity)))
-    chosen = rng.choice(identities, size=p, replace=False)
+    if identities is None:
+        chosen = rng.choice(np.sort(np.array(list(by_identity))), size=p, replace=False)
+    else:
+        chosen = np.asarray(identities)
+        if chosen.shape != (p,) or len(set(chosen.tolist())) != p:
+            raise ContractError(f"need {p} distinct identities, got {chosen.tolist()}")
+        missing = [int(i) for i in chosen if int(i) not in by_identity]
+        if missing:
+            raise ContractError(f"identities {missing} have no train sequences")
     clips, labels, provenance = [], [], []
     for identity in chosen:
         pool = by_identity[int(identity)]

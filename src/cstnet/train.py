@@ -17,7 +17,7 @@ from .data import VideoDataset, train_pixel_mean
 from .errors import ContractError, NumericError
 from .losses import batch_hard_triplet, label_smooth_ce
 from .optim import Adam, AdamConfig, lr_at_epoch
-from .sampler import PkBatch, augment_clips, pk_sample
+from .sampler import PkBatch, augment_clips, epoch_identities, pk_sample
 from .tensor import add
 
 
@@ -91,9 +91,11 @@ def train_epoch(model, dataset: VideoDataset, optimizer: Adam, cfg: TrainConfig,
     steps = cfg.steps_per_epoch or max(1, n_train // (cfg.p * cfg.k))
     lr = lr_at_epoch(cfg.adam, epoch)
     report = EpochReport(epoch=epoch)
+    schedule = epoch_identities(dataset, cfg.p, steps, rng)
     for step in range(steps):
         started = time.perf_counter()
-        batch = pk_sample(dataset, cfg.p, cfg.k, model.cfg.clip_len, rng)
+        batch = pk_sample(dataset, cfg.p, cfg.k, model.cfg.clip_len, rng,
+                          identities=schedule[step])
         clips = augment_clips(batch.clips, rng, fill_mean,
                               flip_p=cfg.flip_p, erase_p=cfg.erase_p)
         features, logits = model(clips)

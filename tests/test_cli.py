@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 from cstnet.checkpoint import load_model
 from cstnet.cli import main
 from cstnet.data import load_dataset
-from cstnet.io import read_checkpoint
+from cstnet.io import read_checkpoint, read_tensor, write_tensor
 from cstnet.model import Cstnet, CstnetConfig
 
 
@@ -122,6 +123,16 @@ class TestTrain:
         assert "csl" not in printed and "sti" not in printed
         _, state = read_checkpoint(out / "checkpoint.ckpt")
         assert not any(name.startswith(("csl", "sti")) for name in state)
+
+    def test_mixed_frame_shapes_exit_one_with_located_message(self, tmp_path, dataset_dir, capsys):
+        data = tmp_path / "mixed"
+        shutil.copytree(dataset_dir, data)
+        frames = read_tensor(data / "seq00003.cstt")
+        write_tensor(data / "seq00003.cstt", np.ascontiguousarray(frames[:, :, :8, :]))
+        assert main(train_args(data, tmp_path / "out", epochs=1)) == 1
+        err = capsys.readouterr().err
+        assert str(data / "index.txt") in err
+        assert "sequence 3" in err and "8x8 frames" in err
 
     def test_missing_dataset_is_config_error(self, tmp_path, capsys):
         assert main(train_args(tmp_path / "nope", tmp_path / "out", epochs=0)) == 1

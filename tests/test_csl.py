@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from cstnet import faults
@@ -11,6 +11,7 @@ from cstnet.csl import (CoSaliencyLearning, CslConfig, apply_cosaliency,
 from cstnet.errors import ConfigError, ContractError, DimensionError
 from cstnet.gradcheck import max_gradcheck_error
 from cstnet.tensor import Tensor, constant, mul, no_grad, tsum
+from cstnet.verify import materialized_attention
 
 
 def naive_ncc(p, q, eps=1e-5):
@@ -50,9 +51,11 @@ class TestNcc:
         assert ncc(p, q) == ncc(q, p)
 
     @given(descriptors, st.floats(0.1, 10.0), st.floats(-5.0, 5.0))
+    @example(values=[0.0, 0.0, 0.125], a=0.125, b=0.0)     # (a*p).std() = 0.0074: error 1.5e-3
     def test_affine_invariance(self, values, a, b):
         p = np.array(values)
-        if p.std() < 0.05:      # degenerate spread makes the eps slack dominate
+        # the absolute eps costs about eps/std per argument; below 0.05 it dominates
+        if p.std() < 0.05 or (a * p).std() < 0.05:
             return
         assert abs(ncc(p, a * p + b) - 1.0) <= 1e-3
 
@@ -282,6 +285,51 @@ class TestGradients:
         err = max_gradcheck_error(fn, [sv, cv] + mod.parameters(),
                                   coords_per_leaf=8, rng=np.random.default_rng(1))
         assert err <= 1e-4
+
+
+class TestFusedLogits:
+    """The volume-free logits of ``attention`` against the materialized volumes."""
+
+    @staticmethod
+    def build(rng, t_len, c, h, w, dtype):
+        mod = CoSaliencyLearning(CslConfig(c_in=c, c_l=4, h_l=2, w_l=2), clip_len=t_len,
+                                 feat_h=h, feat_w=w, rng=rng, dtype=dtype)
+        mod.summarize_spatial.bias.data[...] = 0.3
+        mod.summarize_channel.bias.data[...] = -0.2
+        return mod, Tensor(rng.standard_normal((2, t_len, c, h, w)).astype(dtype))
+
+    @pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-10), (np.float32, 1e-5)])
+    def test_matches_volume_path(self, rng, dtype, tol):
+        for t_len in (2, 3, 4):
+            for c, h, w in ((4, 2, 2), (8, 4, 4), (6, 3, 5)):
+                mod, f = self.build(rng, t_len, c, h, w, dtype)
+                with no_grad():
+                    fused = mod.attention(f)
+                    ref = materialized_attention(mod, f)
+                for got, want in ((fused.z_s, ref.z_s), (fused.z_c, ref.z_c)):
+                    assert got.shape == want.shape
+                    err = np.abs(got.data - want.data).max() / max(1.0, np.abs(want.data).max())
+                    assert err <= tol, (t_len, c, h, w, err)
+
+    def test_summarize_parameters_gradient_check(self, rng):
+        mod, f = self.build(rng, 3, 8, 4, 4, np.float64)
+        proj = rng.standard_normal((2, 3, 8, 4, 4))
+        leaves = [mod.summarize_spatial.weight, mod.summarize_spatial.bias,
+                  mod.summarize_channel.weight, mod.summarize_channel.bias]
+        err = max_gradcheck_error(lambda: tsum(mul(mod.attention(f).z, constant(proj))),
+                                  leaves, rng=np.random.default_rng(2))
+        assert err <= 1e-6, f"max relative error {err:.3e}"
+
+    def test_sign_flip_negates_only_the_correlation_term(self, rng):
+        mod, f = self.build(rng, 3, 8, 4, 4, np.float64)
+        with no_grad():
+            clean = mod.attention(f)
+            with faults.injected("ncc-sign-flip"):
+                flipped = mod.attention(f)
+        # z = bias + corr and z' = bias - corr, so z + z' = 2 * bias
+        assert np.abs(clean.z_s.data + flipped.z_s.data - 0.6).max() < 1e-12
+        assert np.abs(clean.z_c.data + flipped.z_c.data + 0.4).max() < 1e-12
+        assert np.abs(clean.z_s.data - flipped.z_s.data).max() > 1e-3
 
 
 class TestFaultInjection:

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from cstnet.data import SequenceRecord, SynthSpec, VideoDataset, generate_synthetic
 from cstnet.errors import ContractError
-from cstnet.sampler import augment_clips, pk_sample, sample_frame_indices
+from cstnet.sampler import augment_clips, epoch_identities, pk_sample, sample_frame_indices
 
 
 def toy_dataset(num_ids, seqs_per_id, length, h=8, w=4, split="train"):
@@ -96,6 +96,40 @@ class TestPkSample:
             seq = ds.sequences[src.sequence_index]
             assert seq.identity == src.identity
             assert np.array_equal(clip, seq.frames[list(src.frame_indices)])
+
+
+class TestEpochIdentities:
+    def test_epoch_sees_every_identity_once(self):
+        ds = toy_dataset(num_ids=8, seqs_per_id=2, length=8)
+        batches = epoch_identities(ds, p=4, steps=2, rng=np.random.default_rng(0))
+        assert [len(b) for b in batches] == [4, 4]
+        assert sorted(np.concatenate(batches).tolist()) == list(range(8))
+
+    def test_leftover_identities_are_reshuffled_not_repeated_in_a_batch(self):
+        ds = toy_dataset(num_ids=5, seqs_per_id=2, length=8)
+        batches = epoch_identities(ds, p=2, steps=7, rng=np.random.default_rng(3))
+        for b in batches:
+            assert len(set(b.tolist())) == 2 and set(b.tolist()) <= set(range(5))
+        # each deck of 5 yields two batches of 2; its fifth card is dropped
+        for deck in range(3):
+            pair = batches[2 * deck: 2 * deck + 2]
+            assert len(set(np.concatenate(pair).tolist())) == 4
+
+    def test_too_few_identities_rejected(self):
+        ds = toy_dataset(num_ids=3, seqs_per_id=2, length=8)
+        with pytest.raises(ContractError):
+            epoch_identities(ds, p=4, steps=1, rng=np.random.default_rng(0))
+
+    def test_pk_sample_uses_the_given_identities(self):
+        ds = toy_dataset(num_ids=6, seqs_per_id=2, length=8)
+        batch = pk_sample(ds, p=2, k=2, t=4, rng=np.random.default_rng(0), identities=[4, 1])
+        assert batch.labels.tolist() == [4, 4, 1, 1]
+
+    @pytest.mark.parametrize("identities", [[1, 1], [1], [1, 9]])
+    def test_pk_sample_rejects_bad_identities(self, identities):
+        ds = toy_dataset(num_ids=6, seqs_per_id=2, length=8)
+        with pytest.raises(ContractError):
+            pk_sample(ds, p=2, k=2, t=4, rng=np.random.default_rng(0), identities=identities)
 
 
 class TestAugmentation:

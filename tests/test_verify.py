@@ -29,8 +29,9 @@ def test_gradcheck_suite_reports_small_errors():
 
 def test_report_lines_and_exit_logic(capsys):
     results = run_gradcheck_suite()
-    ok = main_report(results)
+    ok = main_report(results, checks_s=1.25)
     out = capsys.readouterr().out
     assert ok
     assert "max gradient-check relative error" in out
+    assert f"{len(results)}/{len(results)} properties passed (1.25s checks)" in out
     assert out.count("PASS") == len(results)
