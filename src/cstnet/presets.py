@@ -8,7 +8,6 @@ keeps file and code in sync.
 """
 
 from .data import SynthSpec
-from .model import CstnetConfig
 from .optim import AdamConfig
 from .train import TrainConfig
 
@@ -29,10 +28,6 @@ ABLATION_DATA = SynthSpec(
 )
 
 DESK_LR = 1e-3          # small-model rate; the full-scale schedule uses 3e-4
-
-
-def desk_model_config(num_identities: int, seed: int = 0, **overrides) -> CstnetConfig:
-    return CstnetConfig(num_identities=num_identities, seed=seed, **overrides)
 
 
 def desk_train_config(epochs: int, seed: int = 0, **overrides) -> TrainConfig:

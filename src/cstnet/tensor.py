@@ -10,8 +10,13 @@ with singleton-extent broadcasting, (batched) matmul, softmax/log-softmax,
 shape manipulation, frame gathering and per-descriptor standardization.
 
 All forward math runs on numpy; every backward rule lives here and is checked
-against central finite differences (see ``gradcheck``).  Graphs are
-single-threaded: one forward+backward pass owns its graph exclusively.
+against central finite differences (see ``gradcheck``).  Activations are
+contiguous NCHW.  The layer kernels pick the memory order numpy is fast in:
+a 1x1 convolution is a channel matmul on (N, C, H*W); any other convolution
+is im2col from an NHWC-padded copy, so each column fills from contiguous
+(kw, C) runs, and one GEMM; batch norm works on the (N, C*H*W) view; adaptive
+pooling is one matmul with a bin-averaging matrix for every bin layout.
+Graphs are single-threaded: one forward+backward pass owns its graph exclusively.
 Tensors without gradient state are immutable by convention and safe to share.
 """
 
@@ -422,42 +427,31 @@ def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     return _result("mean", (a,), out, bw, (a.shape, axes, keepdims, n))
 
 
-def reduce_max(a: Tensor, axis: int, keepdims: bool = False) -> Tensor:
-    """Max along one axis; gradient flows to the first max position per slice."""
+def _reduce_arg(op_kind: str, arg_fn, a: Tensor, axis: int, keepdims: bool) -> Tensor:
+    """Value at ``arg_fn``'s index along one axis; gradient flows to that index only."""
     ax = axis % a.ndim
-    idx = np.argmax(a.data, axis=ax)
-    out = np.take_along_axis(a.data, np.expand_dims(idx, ax), axis=ax)
+    idx = np.expand_dims(arg_fn(a.data, axis=ax), ax)
+    out = np.take_along_axis(a.data, idx, axis=ax)
     if not keepdims:
         out = np.squeeze(out, axis=ax)
 
     def bw(g, saved):
-        shape, axx, kd, indices = saved
-        if not kd:
-            g = np.expand_dims(g, axx)
+        shape, axx, indices = saved
         dx = np.zeros(shape, dtype=g.dtype)
-        np.put_along_axis(dx, np.expand_dims(indices, axx), g, axis=axx)
+        np.put_along_axis(dx, indices, g.reshape(indices.shape), axis=axx)
         return (dx,)
 
-    return _result("reduce_max", (a,), out, bw, (a.shape, ax, keepdims, idx))
+    return _result(op_kind, (a,), out, bw, (a.shape, ax, idx))
+
+
+def reduce_max(a: Tensor, axis: int, keepdims: bool = False) -> Tensor:
+    """Max along one axis; gradient flows to the first max position per slice."""
+    return _reduce_arg("reduce_max", np.argmax, a, axis, keepdims)
 
 
 def reduce_min(a: Tensor, axis: int, keepdims: bool = False) -> Tensor:
     """Min along one axis; gradient flows to the first min position per slice."""
-    ax = axis % a.ndim
-    idx = np.argmin(a.data, axis=ax)
-    out = np.take_along_axis(a.data, np.expand_dims(idx, ax), axis=ax)
-    if not keepdims:
-        out = np.squeeze(out, axis=ax)
-
-    def bw(g, saved):
-        shape, axx, kd, indices = saved
-        if not kd:
-            g = np.expand_dims(g, axx)
-        dx = np.zeros(shape, dtype=g.dtype)
-        np.put_along_axis(dx, np.expand_dims(indices, axx), g, axis=axx)
-        return (dx,)
-
-    return _result("reduce_min", (a,), out, bw, (a.shape, ax, keepdims, idx))
+    return _reduce_arg("reduce_min", np.argmin, a, axis, keepdims)
 
 
 # ---------------------------------------------------------------------------
@@ -585,9 +579,42 @@ def standardize(a: Tensor, axis: int = -1, eps: float = 1e-5) -> Tensor:
 # conv2d / pooling / batch norm
 # ---------------------------------------------------------------------------
 
+def _im2col(x: np.ndarray, kh: int, kw: int, s: int, p: int, oh: int, ow: int) -> np.ndarray:
+    """(N*OH*OW, kh*kw*C) columns of an NCHW array, column order (kh, kw, C).
+
+    Padded once into NHWC order, each window row (kw, C) is a contiguous run
+    of the padded input, so one copy of the window view fills every column.
+    """
+    n, c, h, w = x.shape
+    xp = np.zeros((n, h + 2 * p, w + 2 * p, c), dtype=x.dtype)
+    xp[:, p:p + h, p:p + w] = x.transpose(0, 2, 3, 1)
+    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(1, 2))
+    return win[:, ::s, ::s].transpose(0, 1, 2, 4, 5, 3).reshape(n * oh * ow, kh * kw * c)
+
+
+def _col2im(dcols: np.ndarray, shape: tuple, kh: int, kw: int, s: int, p: int) -> np.ndarray:
+    """Adjoint of ``_im2col`` for tap-major (kh*kw, N*OH*OW, C) column gradients:
+    kh*kw strided adds into an NHWC padded buffer, returned as contiguous NCHW."""
+    n, c, h, w = shape
+    oh, ow = (h + 2 * p - kh) // s + 1, (w + 2 * p - kw) // s + 1
+    dxp = np.zeros((n, h + 2 * p, w + 2 * p, c), dtype=dcols.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            dxp[:, i:i + s * oh:s, j:j + s * ow:s] += dcols[i * kw + j].reshape(n, oh, ow, c)
+    del dcols           # the caller passes a temporary: free it before the NCHW copy
+    return np.ascontiguousarray(dxp[:, p:p + h, p:p + w].transpose(0, 3, 1, 2))
+
+
 def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
            stride: int = 1, padding: int = 0) -> Tensor:
-    """Cross-correlation of NCHW input with (C_out, C_in, kh, kw) kernels."""
+    """Cross-correlation of NCHW input with (C_out, C_in, kh, kw) kernels.
+
+    A 1x1 kernel without padding is a channel matmul on (N, C, H*W), with the
+    stride taken by slicing.  Any other kernel is im2col (Chellapilla et al.
+    2006, "High Performance CNNs for Document Processing") and one GEMM.
+    The output is contiguous NCHW.  The backward skips the input gradient
+    when the input requires none (e.g. the clips fed to the stem).
+    """
     if x.ndim != 4 or weight.ndim != 4:
         raise DimensionError(f"conv2d: need 4-d input and kernel, got {x.shape} and {weight.shape}")
     n, c_in, h, w = x.shape
@@ -600,48 +627,72 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
     if oh < 1 or ow < 1:
         raise DimensionError(f"conv2d: empty output for input {x.shape}, kernel {weight.shape}, "
                              f"stride {s}, padding {p}")
-
-    xp = np.pad(x.data, ((0, 0), (0, 0), (p, p), (p, p))) if p else x.data
-    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
-    win = win[:, :, ::s, ::s]                      # (N, C, OH, OW, kh, kw)
-    cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(n * oh * ow, c_in * kh * kw)
-    wmat = weight.data.reshape(c_out, -1)
-    out = cols @ wmat.T
-    if bias is not None:
-        out = out + bias.data
-    out = out.reshape(n, oh, ow, c_out).transpose(0, 3, 1, 2)
-
     inputs = (x, weight) if bias is None else (x, weight, bias)
+    need_dx, has_bias = x.requires_grad, bias is not None
 
-    def bw(g, saved):
-        cols_s, wmat_s, dims = saved
-        (nn_, cin_, h_, w_, cout_, kh_, kw_, s_, p_, oh_, ow_) = dims
-        gmat = g.transpose(0, 2, 3, 1).reshape(nn_ * oh_ * ow_, cout_)
-        dw = (gmat.T @ cols_s).reshape(cout_, cin_, kh_, kw_)
-        dcols = gmat @ wmat_s
-        dc = dcols.reshape(nn_, oh_, ow_, cin_, kh_, kw_).transpose(0, 3, 1, 2, 4, 5)
-        hp, wp = h_ + 2 * p_, w_ + 2 * p_
-        dxp = np.zeros((nn_, cin_, hp, wp), dtype=g.dtype)
-        for i in range(kh_):
-            for j in range(kw_):
-                dxp[:, :, i:i + s_ * oh_:s_, j:j + s_ * ow_:s_] += dc[..., i, j]
-        dx = dxp[:, :, p_:p_ + h_, p_:p_ + w_] if p_ else dxp
-        if len(inputs) == 3:
-            return dx, dw, gmat.sum(axis=0)
-        return dx, dw
+    if kh == kw == 1 and p == 0:
+        x3 = x.data[:, :, ::s, ::s].reshape(n, c_in, oh * ow)
+        wmat = weight.data.reshape(c_out, c_in)
+        out = np.matmul(wmat, x3)                     # (N, C_out, OH*OW)
+        if bias is not None:
+            out += bias.data[:, None]
 
-    saved = (cols, wmat, (n, c_in, h, w, c_out, kh, kw, s, p, oh, ow))
-    return _result("conv2d", inputs, out, bw, saved)
+        def bw_matmul(g, saved):
+            x3_s, wmat_s, (shape, s_, need_dx_, has_bias_) = saved
+            g3 = g.reshape(shape[0], len(wmat_s), -1)
+            dw = np.matmul(g3, x3_s.transpose(0, 2, 1)).sum(axis=0).reshape(wmat_s.shape + (1, 1))
+            dx = None
+            if need_dx_:
+                dx_s = np.matmul(wmat_s.T, g3).reshape((shape[0], shape[1]) + g.shape[2:])
+                if s_ > 1:
+                    dx = np.zeros(shape, dtype=g.dtype)
+                    dx[:, :, ::s_, ::s_] = dx_s
+                else:
+                    dx = dx_s
+            return (dx, dw, g3.sum(axis=(0, 2))) if has_bias_ else (dx, dw)
+
+        return _result("conv2d", inputs, out.reshape(n, c_out, oh, ow), bw_matmul,
+                       (x3, wmat, (x.shape, s, need_dx, has_bias)))
+
+    cols = _im2col(x.data, kh, kw, s, p, oh, ow)
+    wmat = weight.data.transpose(0, 2, 3, 1).reshape(c_out, kh * kw * c_in)
+    out = cols @ wmat.T                               # (N*OH*OW, C_out)
+    if bias is not None:
+        out += bias.data
+    out = np.ascontiguousarray(out.reshape(n, oh, ow, c_out).transpose(0, 3, 1, 2))
+
+    def bw_im2col(g, saved):
+        cols_s, w_s, (shape, s_, p_, need_dx_, has_bias_) = saved
+        c_out_, c_in_, kh_, kw_ = w_s.shape
+        gmat = g.transpose(0, 2, 3, 1).reshape(-1, c_out_)
+        dw = (gmat.T @ cols_s).reshape(c_out_, kh_, kw_, c_in_).transpose(0, 3, 1, 2)
+        dw = np.ascontiguousarray(dw)
+        dx = None
+        if need_dx_:
+            # one (N*OH*OW, C) block per tap, so each col2im add reads a contiguous block
+            taps = w_s.transpose(2, 3, 0, 1).reshape(kh_ * kw_, c_out_, c_in_)
+            dx = _col2im(np.matmul(gmat, taps), shape, kh_, kw_, s_, p_)
+        return (dx, dw, gmat.sum(axis=0)) if has_bias_ else (dx, dw)
+
+    return _result("conv2d", inputs, out, bw_im2col,
+                   (cols, weight.data, (x.shape, s, p, need_dx, has_bias)))
 
 
-def _pool_bins(extent: int, out: int):
-    starts = [(i * extent) // out for i in range(out)]
-    ends = [((i + 1) * extent + out - 1) // out for i in range(out)]
-    return starts, ends
+def _pool_matrix(extent: int, out: int) -> np.ndarray:
+    """(extent, out) averaging matrix of the bins [floor(i*E/out), ceil((i+1)*E/out))."""
+    m = np.zeros((extent, out))
+    for i in range(out):
+        start, end = (i * extent) // out, -(-(i + 1) * extent // out)
+        m[start:end, i] = 1.0 / (end - start)
+    return m
 
 
 def adaptive_avg_pool2d(x: Tensor, out_h: int, out_w: int) -> Tensor:
-    """Mean over bins [floor(i*H/out_h), ceil((i+1)*H/out_h)) per output cell."""
+    """Mean over bins [floor(i*H/out_h), ceil((i+1)*H/out_h)) per output cell.
+
+    Every bin layout is one matmul with the (H*W, out_h*out_w) pooling
+    matrix ``P``; the backward is ``g @ P.T``.
+    """
     if x.ndim != 4:
         raise DimensionError(f"adaptive_avg_pool2d: need 4-d input, got {x.shape}")
     n, c, h, w = x.shape
@@ -649,36 +700,19 @@ def adaptive_avg_pool2d(x: Tensor, out_h: int, out_w: int) -> Tensor:
         raise DimensionError(f"adaptive_avg_pool2d: zero output extent ({out_h}, {out_w})")
     if out_h > h or out_w > w:
         raise DimensionError(f"adaptive_avg_pool2d: output ({out_h}, {out_w}) exceeds input ({h}, {w})")
+    pool = np.kron(_pool_matrix(h, out_h), _pool_matrix(w, out_w)).astype(x.data.dtype)
+    out = (x.data.reshape(n * c, h * w) @ pool).reshape(n, c, out_h, out_w)
 
-    if h % out_h == 0 and w % out_w == 0:
-        bh, bw_ = h // out_h, w // out_w
-        out = x.data.reshape(n, c, out_h, bh, out_w, bw_).mean(axis=(3, 5))
+    def bw(g, saved):
+        pool_s, shape = saved
+        return ((g.reshape(-1, pool_s.shape[1]) @ pool_s.T).reshape(shape),)
 
-        def bw_fast(g, saved):
-            nn_, cc_, hh_, ww_, oh_, ow_, bhh, bww = saved
-            g5 = (g / (bhh * bww))[:, :, :, None, :, None]
-            dx = np.broadcast_to(g5, (nn_, cc_, oh_, bhh, ow_, bww)).reshape(nn_, cc_, hh_, ww_)
-            return (dx.copy(),)
+    return _result("adaptive_avg_pool2d", (x,), out, bw, (pool, x.shape))
 
-        return _result("adaptive_avg_pool2d", (x,), out, bw_fast, (n, c, h, w, out_h, out_w, bh, bw_))
 
-    hs, he = _pool_bins(h, out_h)
-    ws, we = _pool_bins(w, out_w)
-    out = np.empty((n, c, out_h, out_w), dtype=x.data.dtype)
-    for i in range(out_h):
-        for j in range(out_w):
-            out[:, :, i, j] = x.data[:, :, hs[i]:he[i], ws[j]:we[j]].mean(axis=(2, 3))
-
-    def bw_general(g, saved):
-        shape, hs_, he_, ws_, we_ = saved
-        dx = np.zeros(shape, dtype=g.dtype)
-        for i in range(len(hs_)):
-            for j in range(len(ws_)):
-                area = (he_[i] - hs_[i]) * (we_[j] - ws_[j])
-                dx[:, :, hs_[i]:he_[i], ws_[j]:we_[j]] += g[:, :, i:i + 1, j:j + 1] / area
-        return (dx,)
-
-    return _result("adaptive_avg_pool2d", (x,), out, bw_general, (x.shape, hs, he, ws, we))
+def _channel_sums(column_sums: np.ndarray, c: int) -> np.ndarray:
+    """Per-channel totals of the (C*H*W,) column sums of an (N, C*H*W) view."""
+    return column_sums.reshape(c, -1).sum(axis=1)
 
 
 def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
@@ -686,46 +720,61 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
                training: bool, momentum: float = 0.1, eps: float = 1e-5) -> Tensor:
     """Per-channel batch normalization for NCHW feature maps.
 
-    Training mode normalizes with batch statistics and updates the running
-    buffers in place; eval mode normalizes with the running statistics.
+    Training mode normalizes with batch statistics (the mean, then the biased
+    variance of the centred values) and updates the running buffers in
+    place; eval mode is one scale and shift from the running statistics.
+    The math runs on the (N, C*H*W) view with each per-channel vector
+    repeated H*W times, so every broadcast runs along one long contiguous
+    axis however small the feature map is.
     """
     if x.ndim != 4:
         raise DimensionError(f"batch_norm: need 4-d input, got {x.shape}")
-    c = x.shape[1]
+    n, c, h, w = x.shape
     if gamma.shape != (c,) or beta.shape != (c,):
         raise DimensionError(f"batch_norm: gamma/beta must have shape ({c},), got "
                              f"{gamma.shape} and {beta.shape}")
-    axes = (0, 2, 3)
+    hw, m = h * w, n * h * w
+    x2 = x.data.reshape(n, c * hw)
     if training:
-        mu = x.data.mean(axis=axes)
-        var = x.data.var(axis=axes)
+        mu = _channel_sums(x2.sum(axis=0), c) / m
+        xhat = x2 - np.repeat(mu, hw)
+        var = _channel_sums(np.einsum("nk,nk->k", xhat, xhat), c) / m
         running_mean *= (1.0 - momentum)
         running_mean += momentum * mu
         running_var *= (1.0 - momentum)
         running_var += momentum * var
+        inv = 1.0 / np.sqrt(var + eps)
+        xhat *= np.repeat(inv, hw)
+        out = xhat * np.repeat(gamma.data, hw)
+        out += np.repeat(beta.data, hw)
+        saved = (xhat, None, inv, gamma.data)
     else:
-        mu = running_mean
-        var = running_var
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu[None, :, None, None]) * inv[None, :, None, None]
-    out = gamma.data[None, :, None, None] * xhat + beta.data[None, :, None, None]
-
-    m = x.shape[0] * x.shape[2] * x.shape[3]
+        # one scale-and-shift pass; the backward rebuilds xhat if it runs
+        mu = running_mean.copy()
+        inv = 1.0 / np.sqrt(running_var + eps)
+        scale = gamma.data * inv
+        out = x2 * np.repeat(scale, hw)
+        out += np.repeat(beta.data - mu * scale, hw)
+        saved = (x2, mu, inv, gamma.data)
 
     def bw(g, saved):
-        xhat_s, inv_s, gamma_s, train_s, m_s = saved
-        dgamma = (g * xhat_s).sum(axis=axes)
-        dbeta = g.sum(axis=axes)
-        coeff = (gamma_s * inv_s)[None, :, None, None]
-        if train_s:
-            gmean = g.mean(axis=axes)[None, :, None, None]
-            gxmean = (g * xhat_s).mean(axis=axes)[None, :, None, None]
-            dx = coeff * (g - gmean - xhat_s * gxmean)
-        else:
-            dx = coeff * g
-        return dx, dgamma, dbeta
+        x_s, eval_mean, inv_s, gamma_s = saved
+        c_, hw_ = len(inv_s), x_s.shape[1] // len(inv_s)
+        xhat_s = x_s
+        if eval_mean is not None:
+            xhat_s = (x_s - np.repeat(eval_mean, hw_)) * np.repeat(inv_s, hw_)
+        g2 = g.reshape(xhat_s.shape)
+        dbeta = _channel_sums(g2.sum(axis=0), c_)
+        dgamma = _channel_sums(np.einsum("nk,nk->k", g2, xhat_s), c_)
+        coeff = gamma_s * inv_s
+        dx = g2 * np.repeat(coeff, hw_)
+        if eval_mean is None:       # batch statistics: the mean and variance depend on x
+            count = len(g2) * hw_
+            dx -= xhat_s * np.repeat(coeff * dgamma / count, hw_)
+            dx -= np.repeat(coeff * dbeta / count, hw_)
+        return dx.reshape(g.shape), dgamma, dbeta
 
-    return _result("batch_norm", (x, gamma, beta), out, bw, (xhat, inv, gamma.data, training, m))
+    return _result("batch_norm", (x, gamma, beta), out.reshape(x.shape), bw, saved)
 
 
 __all__ = [

@@ -1,7 +1,8 @@
 """Self-contained property suite: every differentiable operation and composite
-is checked against central finite differences, correlation volumes and
-ranking metrics against brute-force oracles, the volume-free co-saliency
-logits against the materialized volumes, and the structural invariants
+is checked against central finite differences, correlation volumes, ranking
+metrics, convolution and pooling against brute-force oracles, batch norm
+against a float64 reference and a graph of simpler ops, the volume-free
+co-saliency logits against the materialized volumes, and the structural invariants
 (attention normalization, gate bounds, zero-init identity, CMC monotonicity)
 are measured directly.  Each check reports its measured error so regressions
 are visible even while they still pass.
@@ -88,8 +89,13 @@ def _op_gradients() -> list[PropertyResult]:
         "grad/conv2d_k1": (lambda x, w, b: T.conv2d(x, w, b),
                            [rng.standard_normal((2, 4, 3, 3)),
                             rng.standard_normal((5, 4, 1, 1)), rng.standard_normal(5)]),
+        "grad/conv2d_k1_s2": (lambda x, w: T.conv2d(x, w, stride=2),
+                              [rng.standard_normal((2, 3, 5, 4)),
+                               rng.standard_normal((4, 3, 1, 1))]),
         "grad/adaptive_pool": (lambda x: T.adaptive_avg_pool2d(x, 2, 2),
                                [rng.standard_normal((2, 3, 5, 4))]),
+        "grad/adaptive_pool_divisible": (lambda x: T.adaptive_avg_pool2d(x, 2, 3),
+                                         [rng.standard_normal((2, 3, 4, 6))]),
     }
     results = []
     for name, (build, arrays) in cases.items():
@@ -347,6 +353,139 @@ def _metric_oracles() -> list[PropertyResult]:
             PropertyResult("invariant/cmc_monotone", mono_ok, 0.0 if mono_ok else 1.0, 0.0)]
 
 
+# every conv geometry the model builds: stem and stage 3x3 convs (stride 1 and
+# 2, padding 1), CSL/STI 1x1 convs with a bias, stage shortcuts (1x1, stride 2)
+_CONV_CASES = (("k3_s1", 3, 1, 1, False), ("k3_s2", 3, 2, 1, False),
+              ("k1_s1_bias", 1, 1, 0, True), ("k1_s2", 1, 2, 0, False))
+_CONV_TOL = {np.float64: 1e-10, np.float32: 1e-5}    # max abs error; outputs are O(1)-O(10)
+
+
+def _conv2d_loops(x, w, b, stride: int, padding: int) -> np.ndarray:
+    """Cross-correlation by its definition, one output element at a time, in float64."""
+    n, _, h, wd = x.shape
+    c_out, _, kh, kw = w.shape
+    xp = np.pad(np.asarray(x, np.float64), ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    oh, ow = (h + 2 * padding - kh) // stride + 1, (wd + 2 * padding - kw) // stride + 1
+    out = np.zeros((n, c_out, oh, ow))
+    for i in range(n):
+        for co in range(c_out):
+            for r in range(oh):
+                for c in range(ow):
+                    window = xp[i, :, r * stride:r * stride + kh, c * stride:c * stride + kw]
+                    out[i, co, r, c] = (window * w[co]).sum() + (0.0 if b is None else b[co])
+    return out
+
+
+def _pool_loops(x: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
+    """Adaptive average pooling by its bin definition, in float64."""
+    n, c, h, w = x.shape
+    out = np.zeros((n, c, out_h, out_w))
+    for i in range(out_h):
+        for j in range(out_w):
+            hs, he = (i * h) // out_h, -(-(i + 1) * h // out_h)
+            ws, we = (j * w) // out_w, -(-(j + 1) * w // out_w)
+            out[:, :, i, j] = x[:, :, hs:he, ws:we].mean(axis=(2, 3))
+    return out
+
+
+def _batch_norm_reference(x, gamma, beta, running_mean, running_var, training: bool,
+                         momentum: float = 0.1, eps: float = 1e-5):
+    """Float64 output and updated running buffers: two-pass ``np.var`` statistics."""
+    x = np.asarray(x, np.float64)
+    if training:
+        mu, var = x.mean(axis=(0, 2, 3)), x.var(axis=(0, 2, 3))
+        running_mean = (1.0 - momentum) * running_mean + momentum * mu
+        running_var = (1.0 - momentum) * running_var + momentum * var
+    else:
+        mu, var = running_mean, running_var
+    shape = (1, -1, 1, 1)
+    out = gamma.reshape(shape) * (x - mu.reshape(shape)) / np.sqrt(var.reshape(shape) + eps)
+    return out + beta.reshape(shape), running_mean, running_var
+
+
+def _batch_norm_composed(x: Tensor, gamma: Tensor, beta: Tensor, mean=None, var=None,
+                        eps: float = 1e-5) -> Tensor:
+    """Batch norm built from elementwise ops and reductions, each with its own
+    backward rule: the gradient oracle.  Batch statistics unless ``mean`` and
+    ``var`` (arrays) are given."""
+    shape = (1, -1, 1, 1)
+    if mean is None:
+        mu = T.tmean(x, axis=(0, 2, 3), keepdims=True)
+        centred = T.sub(x, mu)
+        var_t = T.tmean(T.mul(centred, centred), axis=(0, 2, 3), keepdims=True)
+    else:
+        centred = T.sub(x, constant(mean.reshape(shape)))
+        var_t = constant(var.reshape(shape))
+    xhat = T.div(centred, T.sqrt(T.add(var_t, eps)))
+    return T.add(T.mul(xhat, T.reshape(gamma, shape)), T.reshape(beta, shape))
+
+
+def _layer_oracles() -> list[PropertyResult]:
+    rng = np.random.default_rng(73)
+    return _conv2d_oracle(rng) + _pool_oracle(rng) + _batch_norm_oracle(rng)
+
+
+def _conv2d_oracle(rng) -> list[PropertyResult]:
+    worst = {np.float64: 0.0, np.float32: 0.0}
+    dtypes_kept = True
+    for _, k, stride, padding, with_bias in _CONV_CASES:
+        x = rng.standard_normal((2, 3, 7, 5))
+        w = rng.standard_normal((4, 3, k, k))
+        b = rng.standard_normal(4) if with_bias else None
+        ref = _conv2d_loops(x, w, b, stride, padding)
+        for dtype in worst:
+            got = T.conv2d(Tensor(x.astype(dtype)), Tensor(w.astype(dtype)),
+                           None if b is None else Tensor(b.astype(dtype)),
+                           stride=stride, padding=padding).data
+            dtypes_kept = dtypes_kept and got.dtype == dtype and got.shape == ref.shape
+            err = abs(got - ref).max() if got.shape == ref.shape else np.inf
+            worst[dtype] = max(worst[dtype], err)
+    detail = f"{len(_CONV_CASES)} geometries: " + ", ".join(name for name, *_ in _CONV_CASES)
+    return [PropertyResult(f"oracle/conv2d_loops{suffix}",
+                           dtypes_kept and worst[dtype] <= _CONV_TOL[dtype], worst[dtype],
+                           _CONV_TOL[dtype], detail=detail)
+            for dtype, suffix in ((np.float64, ""), (np.float32, "_f32"))]
+
+
+def _pool_oracle(rng) -> list[PropertyResult]:
+    # frozen from the bin-mean definition on 1..16 in a 4x4 grid
+    x = np.arange(1.0, 17.0).reshape(1, 1, 4, 4)
+    got = T.adaptive_avg_pool2d(Tensor(x), 2, 2).data
+    err = abs(got - np.array([[3.5, 5.5], [11.5, 13.5]])).max()
+    for shape, out_hw in (((2, 3, 4, 6), (2, 3)), ((2, 3, 5, 4), (3, 2)), ((2, 3, 7, 5), (4, 2)),
+                          ((2, 3, 4, 2), (1, 1))):
+        x = rng.standard_normal(shape)
+        err = max(err, abs(T.adaptive_avg_pool2d(Tensor(x), *out_hw).data
+                           - _pool_loops(x, *out_hw)).max())
+    return [PropertyResult("oracle/adaptive_pool_bins", err <= 1e-12, err, 1e-12,
+                           detail="divisible and non-divisible bins")]
+
+
+def _batch_norm_oracle(rng) -> list[PropertyResult]:
+    """Train and eval mode against the float64 reference: output, running
+    buffers, and the gradients of x, gamma and beta against the composed graph."""
+    worst = 0.0
+    for training in (True, False):
+        x = rng.standard_normal((4, 3, 5, 2)) * 2.0 + 1.5
+        gamma, beta = rng.standard_normal(3), rng.standard_normal(3)
+        mean0, var0 = rng.standard_normal(3), rng.uniform(0.5, 2.0, 3)
+        proj = constant(rng.standard_normal(x.shape))
+        leaves = [Tensor(a.copy(), requires_grad=True) for a in (x, gamma, beta)]
+        running_mean, running_var = mean0.copy(), var0.copy()
+        out = T.batch_norm(*leaves, running_mean, running_var, training=training)
+        ref, ref_mean, ref_var = _batch_norm_reference(x, gamma, beta, mean0, var0, training)
+        tsum(mul(out, proj)).backward()
+        grads = [leaf.grad for leaf in leaves]
+        composed = [Tensor(a.copy(), requires_grad=True) for a in (x, gamma, beta)]
+        stats = {} if training else {"mean": mean0, "var": var0}
+        tsum(mul(_batch_norm_composed(*composed, **stats), proj)).backward()
+        worst = max(worst, abs(out.data - ref).max(), abs(running_mean - ref_mean).max(),
+                    abs(running_var - ref_var).max(),
+                    *(abs(g - c.grad).max() for g, c in zip(grads, composed)))
+    return [PropertyResult("oracle/batch_norm", worst <= 1e-10, worst, 1e-10,
+                           detail="train and eval: output, running stats, dx/dgamma/dbeta")]
+
+
 def _loss_and_misc_oracles() -> list[PropertyResult]:
     rng = np.random.default_rng(71)
     results = []
@@ -360,25 +499,6 @@ def _loss_and_misc_oracles() -> list[PropertyResult]:
                 ref[i, j] += a[i, k] * b[k, j]
     err = abs(T.matmul(Tensor(a), Tensor(b)).data - ref).max()
     results.append(PropertyResult("oracle/matmul_loops", err <= 1e-12, err, 1e-12))
-
-    # conv vs sliding window loops
-    x = rng.standard_normal((1, 2, 4, 4))
-    w = rng.standard_normal((3, 2, 3, 3))
-    got = T.conv2d(Tensor(x), Tensor(w), stride=1, padding=1).data
-    xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
-    ref = np.zeros((1, 3, 4, 4))
-    for co in range(3):
-        for i in range(4):
-            for j in range(4):
-                ref[0, co, i, j] = (xp[0, :, i:i + 3, j:j + 3] * w[co]).sum()
-    err = abs(got - ref).max()
-    results.append(PropertyResult("oracle/conv2d_loops", err <= 1e-10, err, 1e-10))
-
-    # adaptive pool bin means
-    x = np.arange(1.0, 17.0).reshape(1, 1, 4, 4)
-    got = T.adaptive_avg_pool2d(Tensor(x), 2, 2).data
-    err = abs(got - np.array([[3.5, 5.5], [11.5, 13.5]])).max()
-    results.append(PropertyResult("oracle/adaptive_pool_bins", err <= 1e-12, err, 1e-12))
 
     # softmax vs direct exp-normalize
     v = np.array([1.0, 2.0, 3.0])
@@ -438,6 +558,7 @@ def run_verification(inject_fault: str | None = None) -> list[PropertyResult]:
         results += _fused_cosaliency_oracle()
         results += _attention_invariants()
         results += _metric_oracles()
+        results += _layer_oracles()
         results += _loss_and_misc_oracles()
         return results
     finally:

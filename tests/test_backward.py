@@ -97,3 +97,22 @@ def test_gradcheck_catches_broken_rule(rng):
 
     err = check_op(lambda a: bad_square(a), [rng.standard_normal(4) + 2.0])
     assert err > 1e-2
+
+
+@pytest.mark.parametrize("k, stride, padding", [(3, 1, 1), (3, 2, 1), (1, 1, 0), (1, 2, 0)])
+def test_conv_weight_gradient_independent_of_input_flag(rng, k, stride, padding):
+    # the input gradient is skipped for constant inputs; dw must not change
+    x = rng.standard_normal((2, 3, 7, 5))
+    w = rng.standard_normal((4, 3, k, k))
+    proj = None
+    grads = []
+    for x_requires_grad in (True, False):
+        xt = Tensor(x.copy(), requires_grad=x_requires_grad)
+        wt = Tensor(w.copy(), requires_grad=True)
+        out = T.conv2d(xt, wt, stride=stride, padding=padding)
+        if proj is None:
+            proj = constant(rng.standard_normal(out.shape))
+        tsum(mul(out, proj)).backward()
+        grads.append(wt.grad)
+        assert (xt.grad is not None) == x_requires_grad
+    assert np.array_equal(grads[0], grads[1])

@@ -90,16 +90,29 @@ class TestConv2d:
         assert np.array_equal(out.data, np.zeros((2, 4, 5, 5)))
 
     def test_naive_sliding_window_oracle(self, rng):
-        x = rng.standard_normal((1, 2, 4, 4))
-        w = rng.standard_normal((3, 2, 3, 3))
-        got = T.conv2d(Tensor(x), Tensor(w), stride=1, padding=1).data
-        xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
-        ref = np.zeros((1, 3, 4, 4))
-        for co in range(3):
-            for i in range(4):
-                for j in range(4):
-                    ref[0, co, i, j] = (xp[0, :, i:i + 3, j:j + 3] * w[co]).sum()
-        assert np.abs(got - ref).max() < 1e-10
+        # every geometry the model builds: 3x3 stride 1 and 2 (padding 1),
+        # 1x1 stride 1 with a bias, 1x1 stride 2; N=2, C_in=3, a 7x5 map
+        cases = ((3, 1, 1, False), (3, 2, 1, False), (1, 1, 0, True), (1, 2, 0, False))
+        for k, stride, padding, with_bias in cases:
+            x = rng.standard_normal((2, 3, 7, 5))
+            w = rng.standard_normal((4, 3, k, k))
+            b = rng.standard_normal(4) if with_bias else np.zeros(4)
+            xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+            oh, ow = (7 + 2 * padding - k) // stride + 1, (5 + 2 * padding - k) // stride + 1
+            ref = np.zeros((2, 4, oh, ow))
+            for n in range(2):
+                for co in range(4):
+                    for i in range(oh):
+                        for j in range(ow):
+                            window = xp[n, :, i * stride:i * stride + k, j * stride:j * stride + k]
+                            ref[n, co, i, j] = (window * w[co]).sum() + b[co]
+            for dtype, tol in ((np.float64, 1e-10), (np.float32, 1e-5)):
+                got = T.conv2d(Tensor(x.astype(dtype)), Tensor(w.astype(dtype)),
+                               Tensor(b.astype(dtype)) if with_bias else None,
+                               stride=stride, padding=padding).data
+                assert got.dtype == dtype and got.shape == ref.shape
+                assert got.flags.c_contiguous
+                assert np.abs(got - ref).max() < tol, (k, stride, dtype)
 
     def test_strided_extent_formula(self, rng):
         x = rng.standard_normal((1, 1, 7, 5))
@@ -142,6 +155,25 @@ class TestAdaptiveAvgPool:
         x = rng.standard_normal((2, 3, 4, 5))
         out = T.adaptive_avg_pool2d(Tensor(x), 1, 1).data
         assert np.abs(out[..., 0, 0] - x.mean(axis=(2, 3))).max() < 1e-9
+
+    def test_divisible_and_uneven_bins_forward_and_backward(self, rng):
+        # one pooling path serves both bin layouts; the backward spreads each
+        # output gradient evenly over its bin
+        for shape, (oh, ow) in (((2, 3, 4, 6), (2, 3)), ((2, 3, 5, 4), (3, 2))):
+            n, c, h, w = shape
+            x = Tensor(rng.standard_normal(shape), requires_grad=True)
+            g = rng.standard_normal((n, c, oh, ow))
+            out = T.adaptive_avg_pool2d(x, oh, ow)
+            T.tsum(T.mul(out, T.constant(g))).backward()
+            ref, dref = np.zeros((n, c, oh, ow)), np.zeros(shape)
+            for i in range(oh):
+                for j in range(ow):
+                    hs, he = (i * h) // oh, -((-(i + 1) * h) // oh)
+                    ws, we = (j * w) // ow, -((-(j + 1) * w) // ow)
+                    ref[:, :, i, j] = x.data[:, :, hs:he, ws:we].mean(axis=(2, 3))
+                    dref[:, :, hs:he, ws:we] += g[:, :, i:i + 1, j:j + 1] / ((he - hs) * (we - ws))
+            assert np.abs(out.data - ref).max() < 1e-12
+            assert np.abs(x.grad - dref).max() < 1e-12
 
     def test_zero_extent_rejected(self):
         with pytest.raises(DimensionError):
@@ -217,6 +249,40 @@ class TestBatchNorm:
             batch_norm(Tensor(rng.standard_normal((2, 3, 2, 2))),
                        Tensor(np.ones(4)), Tensor(np.zeros(4)),
                        np.zeros(3), np.ones(3), training=True)
+
+    @pytest.mark.parametrize("training", [True, False])
+    def test_float64_two_pass_reference(self, rng, training):
+        # output, running buffers and all three gradients against np.var
+        # statistics and the textbook backward, all in float64
+        x = rng.standard_normal((4, 3, 5, 2)) * 2.0 + 1.5
+        gamma, beta = rng.standard_normal(3), rng.standard_normal(3)
+        mean0, var0 = rng.standard_normal(3), rng.uniform(0.5, 2.0, 3)
+        g = rng.standard_normal(x.shape)
+        xt, gt, bt = (Tensor(a.copy(), requires_grad=True) for a in (x, gamma, beta))
+        running_mean, running_var = mean0.copy(), var0.copy()
+        out = T.batch_norm(xt, gt, bt, running_mean, running_var, training=training)
+        T.tsum(T.mul(out, T.constant(g))).backward()
+
+        axes, shape = (0, 2, 3), (1, 3, 1, 1)
+        mu, var = (x.mean(axis=axes), x.var(axis=axes)) if training else (mean0, var0)
+        inv = 1.0 / np.sqrt(var + 1e-5)
+        xhat = (x - mu.reshape(shape)) * inv.reshape(shape)
+        ref = gamma.reshape(shape) * xhat + beta.reshape(shape)
+        dgamma, dbeta = (g * xhat).sum(axis=axes), g.sum(axis=axes)
+        dxhat = g * gamma.reshape(shape)
+        if training:
+            m = x.size // 3
+            dx = inv.reshape(shape) / m * (m * dxhat - dxhat.sum(axis=axes, keepdims=True)
+                                           - xhat * (dxhat * xhat).sum(axis=axes, keepdims=True))
+            assert np.abs(running_mean - (0.9 * mean0 + 0.1 * mu)).max() < 1e-12
+            assert np.abs(running_var - (0.9 * var0 + 0.1 * var)).max() < 1e-12
+        else:
+            dx = dxhat * inv.reshape(shape)
+            assert np.array_equal(running_mean, mean0) and np.array_equal(running_var, var0)
+        assert np.abs(out.data - ref).max() < 1e-12
+        assert np.abs(xt.grad - dx).max() < 1e-12
+        assert np.abs(gt.grad - dgamma).max() < 1e-12
+        assert np.abs(bt.grad - dbeta).max() < 1e-12
 
 
 class TestReductionsAndGather:
