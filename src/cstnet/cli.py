@@ -25,6 +25,7 @@ from .checkpoint import load_model, save_model
 from .data import (SynthSpec, dataset_census, generate_synthetic, load_dataset,
                    save_dataset)
 from .errors import ConfigError, ContractError, DimensionError, FormatError, NumericError
+from .experiments import ABLATIONS
 from .metrics import evaluate
 from .model import Cstnet, CstnetConfig
 from .optim import AdamConfig
@@ -76,13 +77,6 @@ SCHEMAS: dict[str, dict[str, type]] = {
     },
     "verify": {"inject_fault": str, "out": str},
     "gradcheck": {"out": str},
-}
-
-_ABLATIONS = {
-    "base": {"with_csl": False, "with_sti": False},
-    "csl": {"with_csl": True, "with_sti": False},
-    "sti": {"with_csl": False, "with_sti": True},
-    "full": {"with_csl": True, "with_sti": True},
 }
 
 
@@ -172,9 +166,9 @@ def cmd_synth(args) -> int:
 
 
 def _model_config_from(resolved: dict, num_identities: int, frame_shape) -> CstnetConfig:
-    flags = _ABLATIONS.get(resolved["ablation"])
+    flags = ABLATIONS.get(resolved["ablation"])
     if flags is None:
-        raise ConfigError(f"ablation must be one of {sorted(_ABLATIONS)}, "
+        raise ConfigError(f"ablation must be one of {sorted(ABLATIONS)}, "
                           f"got {resolved['ablation']!r}")
     return CstnetConfig(
         num_identities=num_identities, clip_len=resolved["clip_len"],
@@ -263,9 +257,9 @@ def cmd_eval(args) -> int:
     def pct(x):
         return f"{100.0 * x:.1f}"
 
-    ranks = [1, 5, 20]
+    ranks = [k for k in (1, 5, 20) if k <= len(metrics.cmc)]
     header = [f"Rank-{k}" for k in ranks] + ["mAP"]
-    row = [pct(metrics.cmc[min(k, len(metrics.cmc)) - 1]) for k in ranks] + [pct(metrics.map)]
+    row = [pct(metrics.cmc[k - 1]) for k in ranks] + [pct(metrics.map)]
     widths = [max(len(h), len(v)) for h, v in zip(header, row)]
     print("  ".join(h.rjust(w) for h, w in zip(header, widths)))
     print("  ".join(v.rjust(w) for v, w in zip(row, widths)))

@@ -28,23 +28,22 @@ entries each) and W the summarize weight viewed as (T-1, n),
     z[t, p] = bias + nd_t[p] . u_t / d,   u_t = sum_{k != t} sum_q W[slot(k, t), q] nd_k[q],
 
 computed for the whole batch with three matmuls (``_fused_logits``): cost
-O(T^2 * n * d) instead of the volumes' O(T^2 * n^2 * d).  ``build_*_volume``
-and ``summarize_attention`` keep the materialized definition as the oracle
-that ``cstnet verify`` and the tests compare against.
+O(T^2 * n * d) instead of the volumes' O(T^2 * n^2 * d).  The materialized
+definition (volumes, then the summarize weights) lives only in ``verify`` as
+the numpy oracle that ``cstnet verify`` and the tests compare against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from . import faults
 from .errors import ConfigError, ContractError, DimensionError
 from .nn import BatchNorm2d, Conv2d, Module
-from .tensor import (Tensor, adaptive_avg_pool2d, add, constant, index_select, matmul, mul,
-                     neg, permute, relu, reshape, scale, sigmoid, standardize)
+from .tensor import (Tensor, adaptive_avg_pool2d, add, constant, matmul, mul, neg, permute,
+                     relu, reshape, scale, sigmoid, standardize)
 
 
 @dataclass(frozen=True)
@@ -122,62 +121,6 @@ def _standardized_channel(desc: Tensor, eps: float) -> Tensor:
     b, t, c, h_l, w_l = desc.shape
     flat = reshape(desc, (b, t, c, h_l * w_l))
     return standardize(flat, axis=-1, eps=eps)
-
-
-def _volume_for_frame(nd: Tensor, t: int) -> Tensor:
-    """NCC scores of frame t's descriptors against all other frames.
-
-    nd is (B, T, n_desc, d) standardized; returns (B, (T-1)*n_desc, n_desc)
-    where rows run over co-frames ascending (skipping t) then descriptor
-    index, and columns index frame t's descriptors.
-    """
-    b, frames, n_desc, d = nd.shape
-    others_idx = [k for k in range(frames) if k != t]
-    others = reshape(index_select(nd, 1, others_idx), (b, (frames - 1) * n_desc, d))
-    me = permute(reshape(index_select(nd, 1, [t]), (b, n_desc, d)), (0, 2, 1))
-    vol = scale(matmul(others, me), 1.0 / d)
-    if faults.is_active("ncc-sign-flip"):
-        vol = neg(vol)
-    return vol
-
-
-def build_spatial_volume(spatial_desc: Tensor, frame: int, eps: float = 1e-5) -> Optional[Tensor]:
-    """Correlation volume ((T-1)*H*W, H, W) of one frame vs. the rest.
-
-    ``spatial_desc`` is a single clip's (T, C_L, H, W) descriptor stack.
-    Returns None for single-frame clips (no co-frames to correlate with).
-    """
-    if spatial_desc.ndim != 4:
-        raise DimensionError(f"expected (T, C_L, H, W) descriptors, got {spatial_desc.shape}")
-    t_len, c_l, h, w = spatial_desc.shape
-    if not 0 <= frame < t_len:
-        raise ContractError(f"frame {frame} out of range for {t_len} frames")
-    if t_len == 1:
-        return None
-    nd = _standardized_spatial(reshape(spatial_desc, (1,) + spatial_desc.shape), eps)
-    vol = _volume_for_frame(nd, frame)
-    return reshape(vol, ((t_len - 1) * h * w, h, w))
-
-
-def build_channel_volume(channel_desc: Tensor, frame: int, eps: float = 1e-5) -> Optional[Tensor]:
-    """Correlation volume ((T-1)*C, C, 1, 1) of one frame's channels vs. the rest.
-
-    Mirrors ``build_spatial_volume`` with channels as descriptors: each
-    channel's flattened H_L*W_L map is compared against every channel of
-    every other frame.  Returns None for single-frame clips.
-    """
-    if channel_desc.ndim != 4:
-        raise DimensionError(f"expected (T, C, H_L, W_L) descriptors, got {channel_desc.shape}")
-    t_len, c, h_l, w_l = channel_desc.shape
-    if h_l * w_l < 2:
-        raise ContractError("channel descriptors need at least 2 spatial positions")
-    if not 0 <= frame < t_len:
-        raise ContractError(f"frame {frame} out of range for {t_len} frames")
-    if t_len == 1:
-        return None
-    nd = _standardized_channel(reshape(channel_desc, (1,) + channel_desc.shape), eps)
-    vol = _volume_for_frame(nd, frame)
-    return reshape(vol, ((t_len - 1) * c, c, 1, 1))
 
 
 def _gate(z_s: Tensor, z_c: Tensor) -> CoSaliencyAttention:
@@ -261,34 +204,6 @@ class CoSaliencyLearning(Module):
         return (reshape(sd, (b, t, self.cfg.c_l, h, w)),
                 reshape(cd, (b, t, c, self.cfg.h_l, self.cfg.w_l)))
 
-    def summarize_attention(self, spatial_vols: Optional[Tensor],
-                            channel_vols: Optional[Tensor]) -> CoSaliencyAttention:
-        """Collapse stacked per-frame volumes into the spatial-channel gate.
-
-        This is the materialized definition that ``attention`` computes without
-        volumes; it is kept as the oracle for ``verify`` and the tests.
-        ``spatial_vols``: (B, T, (T-1)*H*W, H, W); ``channel_vols``:
-        (B, T, (T-1)*C, C, 1).  Either may be None (single-frame clips),
-        in which case the corresponding logits are zero.
-        """
-        c = self.cfg.c_in
-        h, w = self.feat_h, self.feat_w
-        if spatial_vols is None or channel_vols is None:
-            if not (spatial_vols is None and channel_vols is None):
-                raise DimensionError("spatial and channel volumes must both be present or absent")
-            return self._neutral_attention(1)
-        b, t = spatial_vols.shape[0], spatial_vols.shape[1]
-        if channel_vols.shape[0] != b or channel_vols.shape[1] != t:
-            raise DimensionError(f"volume stacks disagree on frames: {spatial_vols.shape} "
-                                 f"vs {channel_vols.shape}")
-        if t != self.clip_len:
-            raise DimensionError(f"module was built for {self.clip_len} frames, got {t}")
-        sv = reshape(spatial_vols, (b * t,) + spatial_vols.shape[2:])
-        cv = reshape(channel_vols, (b * t,) + channel_vols.shape[2:])
-        z_s = reshape(self.summarize_spatial(sv), (b, t, 1, h, w))
-        z_c = reshape(self.summarize_channel(cv), (b, t, c, 1, 1))
-        return _gate(z_s, z_c)
-
     def _neutral_attention(self, batch: int) -> CoSaliencyAttention:
         """Zero logits and the 0.5 gate of a clip without co-frames."""
         dtype = self.reduce_spatial.weight.dtype
@@ -315,5 +230,3 @@ class CoSaliencyLearning(Module):
 
     def forward(self, f: Tensor) -> Tensor:
         return apply_cosaliency(f, self.attention(f))
-
-    __call__ = forward

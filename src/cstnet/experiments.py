@@ -15,20 +15,21 @@ from .model import Cstnet, CstnetConfig
 from .presets import ABLATION_DATA, LEARNABILITY_DATA, desk_train_config
 from .train import fit
 
-ABLATION_VARIANTS = ("base", "csl", "sti", "full")
+# variant -> which insertion modules the model builds
+ABLATIONS = {
+    "base": {"with_csl": False, "with_sti": False},
+    "csl": {"with_csl": True, "with_sti": False},
+    "sti": {"with_csl": False, "with_sti": True},
+    "full": {"with_csl": True, "with_sti": True},
+}
+ABLATION_VARIANTS = tuple(ABLATIONS)
 
 
 def variant_flags(variant: str) -> dict:
-    if variant == "base":
-        return {"with_csl": False, "with_sti": False}
-    if variant == "csl":
-        return {"with_csl": True, "with_sti": False}
-    if variant == "sti":
-        return {"with_csl": False, "with_sti": True}
-    if variant == "full":
-        return {"with_csl": True, "with_sti": True}
-    raise ValueError(f"unknown ablation variant {variant!r}; expected one of "
-                     f"{ABLATION_VARIANTS}")
+    if variant not in ABLATIONS:
+        raise ValueError(f"unknown ablation variant {variant!r}; expected one of "
+                         f"{ABLATION_VARIANTS}")
+    return dict(ABLATIONS[variant])
 
 
 @dataclass

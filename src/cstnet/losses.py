@@ -60,9 +60,3 @@ def label_smooth_ce(logits: Tensor, labels, smoothing: float) -> Tensor:
     per_sample = neg(tsum(mul(logp, constant(targets, dtype=logits.dtype)), axis=1))
     return tmean(per_sample)
 
-
-def total_loss(features: Tensor, logits: Tensor, labels, margin: float,
-               smoothing: float) -> Tensor:
-    """Unweighted sum of the two components."""
-    return add(batch_hard_triplet(features, labels, margin),
-               label_smooth_ce(logits, labels, smoothing))

@@ -47,79 +47,40 @@ def _check_ranking_inputs(dist, query_ids, gallery_ids, query_cams, gallery_cams
     return dist, arrays
 
 
-def _ranked_matches(dist, query_ids, gallery_ids, query_cams, gallery_cams):
-    """Per query: boolean match vector over the kept, rank-ordered gallery."""
+def ranking_metrics(dist, query_ids, gallery_ids, query_cams, gallery_cams,
+                    max_rank: int) -> RankingMetrics:
+    """CMC for k = 1..max_rank, mAP and per-query APs, for all queries at once."""
+    if max_rank < 1:
+        raise ContractError("max_rank must be >= 1")
     dist, (qid, gid, qcam, gcam) = _check_ranking_inputs(
         dist, query_ids, gallery_ids, query_cams, gallery_cams)
-    out = []
     order = np.argsort(dist, axis=1, kind="stable")      # ties -> gallery index ascending
-    for i in range(dist.shape[0]):
-        ranked = order[i]
-        keep = ~((gid[ranked] == qid[i]) & (gcam[ranked] == qcam[i]))
-        matches = (gid[ranked] == qid[i])[keep]
-        out.append(matches)
-    return out
+    same_id = gid[order] == qid[:, None]
+    kept = ~(same_id & (gcam[order] == qcam[:, None]))
+    matches = same_id & kept
+    rank = np.cumsum(kept, axis=1)                       # 1-based rank among kept entries
+    found = np.cumsum(matches, axis=1)
+    valid = found[:, -1] > 0
+    if not valid.any():
+        raise ContractError("no query has a valid cross-camera match")
+    first = rank[np.arange(len(rank)), matches.argmax(axis=1)][valid]
+    cmc = (first[:, None] <= np.arange(1, max_rank + 1)).sum(axis=0) / len(first)
+    # precision at each hit; rank is 0 only before the first kept entry, never at a hit
+    precision = np.divide(found, rank, out=np.zeros(rank.shape), where=matches)
+    aps = precision.sum(axis=1)[valid] / found[valid, -1]
+    return RankingMetrics(cmc=cmc, map=float(aps.mean()), per_query=aps.tolist(),
+                          excluded_queries=int((~valid).sum()))
 
 
 def compute_cmc(dist, query_ids, gallery_ids, query_cams, gallery_cams,
                 max_rank: int) -> np.ndarray:
     """Rank-k accuracies for k = 1..max_rank (non-decreasing in k)."""
-    if max_rank < 1:
-        raise ContractError("max_rank must be >= 1")
-    hits = np.zeros(max_rank, dtype=np.float64)
-    valid = 0
-    for matches in _ranked_matches(dist, query_ids, gallery_ids, query_cams, gallery_cams):
-        if not matches.any():
-            continue
-        valid += 1
-        first = int(np.argmax(matches))
-        if first < max_rank:
-            hits[first:] += 1.0
-    if valid == 0:
-        raise ContractError("no query has a valid cross-camera match")
-    return hits / valid
+    return ranking_metrics(dist, query_ids, gallery_ids, query_cams, gallery_cams, max_rank).cmc
 
 
 def compute_map(dist, query_ids, gallery_ids, query_cams, gallery_cams) -> float:
     """Mean over queries of average precision of the ranked gallery list."""
-    aps = average_precisions(dist, query_ids, gallery_ids, query_cams, gallery_cams)
-    if not aps:
-        raise ContractError("no query has a valid cross-camera match")
-    return float(np.mean(aps))
-
-
-def average_precisions(dist, query_ids, gallery_ids, query_cams, gallery_cams) -> list[float]:
-    aps = []
-    for matches in _ranked_matches(dist, query_ids, gallery_ids, query_cams, gallery_cams):
-        n_rel = int(matches.sum())
-        if n_rel == 0:
-            continue
-        ranks = np.nonzero(matches)[0] + 1           # 1-based ranks of the hits
-        precisions = np.arange(1, n_rel + 1) / ranks
-        aps.append(float(precisions.sum() / n_rel))
-    return aps
-
-
-def ranking_metrics(dist, query_ids, gallery_ids, query_cams, gallery_cams,
-                    max_rank: int) -> RankingMetrics:
-    matches = _ranked_matches(dist, query_ids, gallery_ids, query_cams, gallery_cams)
-    hits = np.zeros(max_rank, dtype=np.float64)
-    aps = []
-    excluded = 0
-    for m in matches:
-        if not m.any():
-            excluded += 1
-            continue
-        first = int(np.argmax(m))
-        if first < max_rank:
-            hits[first:] += 1.0
-        n_rel = int(m.sum())
-        ranks = np.nonzero(m)[0] + 1
-        aps.append(float((np.arange(1, n_rel + 1) / ranks).sum() / n_rel))
-    if not aps:
-        raise ContractError("no query has a valid cross-camera match")
-    return RankingMetrics(cmc=hits / len(aps), map=float(np.mean(aps)),
-                          per_query=aps, excluded_queries=excluded)
+    return ranking_metrics(dist, query_ids, gallery_ids, query_cams, gallery_cams, 1).map
 
 
 def evenly_spaced_indices(length: int, count: int) -> np.ndarray:

@@ -134,8 +134,6 @@ class ResidualStage(Module):
         side = self.bn_sc(self.shortcut(x)) if self.project else x
         return relu(add(main, side))
 
-    __call__ = forward
-
 
 class Stem(Module):
     """Stage 1: plain conv + BN + ReLU."""
@@ -147,8 +145,6 @@ class Stem(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         return relu(self.bn(self.conv(x)))
-
-    __call__ = forward
 
 
 class Cstnet(Module):
@@ -212,7 +208,7 @@ class Cstnet(Module):
         logits = self.classify(features)              # (B, K)
         return features, logits
 
-    __call__ = forward
+    __call__ = forward      # own entry in the class dict: perfbench/tracing.py patches it there
 
     def embed_clips(self, clips: np.ndarray, batch_size: int = 32) -> np.ndarray:
         """Deterministic eval-mode embeddings for retrieval, as numpy."""

@@ -35,6 +35,9 @@ class Module:
             self._modules[name] = value
         object.__setattr__(self, name, value)
 
+    def __call__(self, *args, **kwargs):
+        return self.forward(*args, **kwargs)
+
     def register_buffer(self, name: str, value: np.ndarray):
         self._buffers[name] = value
         object.__setattr__(self, name, value)
@@ -117,8 +120,6 @@ class Conv2d(Module):
     def forward(self, x: Tensor) -> Tensor:
         return conv2d(x, self.weight, self.bias, stride=self.stride, padding=self.padding)
 
-    __call__ = forward
-
 
 class BatchNorm2d(Module):
     def __init__(self, channels: int, *, dtype=np.float32, momentum: float = 0.1, eps: float = 1e-5):
@@ -133,8 +134,6 @@ class BatchNorm2d(Module):
     def forward(self, x: Tensor) -> Tensor:
         return batch_norm(x, self.gamma, self.beta, self.running_mean, self.running_var,
                           training=self.training, momentum=self.momentum, eps=self.eps)
-
-    __call__ = forward
 
 
 class Linear(Module):
@@ -156,5 +155,3 @@ class Linear(Module):
         if x.ndim != 2:
             out = reshape(out, lead + (self.weight.shape[0],))
         return out
-
-    __call__ = forward

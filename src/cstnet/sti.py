@@ -134,5 +134,3 @@ class SpatialTemporalInteraction(Module):
         """Residual insertion: input plus the fused relation features."""
         rel = self.relations(f)
         return add(f, self.fuse_relations(rel.f_s, rel.f_t))
-
-    __call__ = forward

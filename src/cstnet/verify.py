@@ -1,11 +1,13 @@
 """Self-contained property suite: every differentiable operation and composite
-is checked against central finite differences, correlation volumes, ranking
-metrics, convolution and pooling against brute-force oracles, batch norm
-against a float64 reference and a graph of simpler ops, the volume-free
-co-saliency logits against the materialized volumes, and the structural invariants
-(attention normalization, gate bounds, zero-init identity, CMC monotonicity)
-are measured directly.  Each check reports its measured error so regressions
-are visible even while they still pass.
+is checked against central finite differences; ranking metrics, convolution
+and pooling against brute-force oracles; batch norm against a float64
+reference and a graph of simpler ops; and the volume-free co-saliency logits
+against the materialized correlation volumes.  Those volumes are defined only
+here, in float64 numpy and independent of the engine, and are themselves
+checked element by element against a direct NCC formula.  The structural
+invariants (attention normalization, gate bounds, zero-init identity, CMC
+monotonicity) are measured directly.  Each check reports its measured error so
+regressions are visible even while they still pass.
 """
 
 from __future__ import annotations
@@ -15,9 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import faults, tensor as T
-from .csl import (CoSaliencyAttention, CoSaliencyLearning, CslConfig, build_channel_volume,
-                  build_spatial_volume, ncc)
-from .errors import ContractError
+from .csl import CoSaliencyLearning, CslConfig, ncc
+from .errors import ContractError, DimensionError
 from .gradcheck import check_op, max_gradcheck_error
 from .losses import batch_hard_triplet, label_smooth_ce
 from .metrics import compute_cmc, compute_map
@@ -46,6 +47,68 @@ def _naive_ncc(p, q, eps=1e-5):
     p = np.asarray(p, float); q = np.asarray(q, float)
     pc, qc = p - p.mean(), q - q.mean()
     return float((pc * qc).sum() / p.size / ((pc.std() + eps) * (qc.std() + eps)))
+
+
+# ---------------------------------------------------------------------------
+# co-saliency correlation volumes by their definition (see the csl module
+# docstring), in float64 numpy: the oracle of the volume-free model path
+# ---------------------------------------------------------------------------
+
+def _standardized(x: np.ndarray, eps: float) -> np.ndarray:
+    """Mean-free descriptors along the last axis, divided by population std + eps."""
+    centred = x - x.mean(axis=-1, keepdims=True)
+    return centred / (centred.std(axis=-1, keepdims=True) + eps)
+
+
+def _volume_for_frame(nd: np.ndarray, t: int) -> np.ndarray:
+    """NCC scores of frame t's descriptors against all other frames.
+
+    nd is (T, n, d) standardized; returns ((T-1)*n, n) where rows run over
+    co-frames ascending (skipping t) then descriptor index, and columns index
+    frame t's descriptors.
+    """
+    frames, n, d = nd.shape
+    others = np.delete(nd, t, axis=0).reshape((frames - 1) * n, d)
+    return others @ nd[t].T / d
+
+
+def build_spatial_volume(spatial_desc, frame: int, eps: float = 1e-5):
+    """Correlation volume ((T-1)*H*W, H, W) of one frame vs. the rest.
+
+    ``spatial_desc`` is a single clip's (T, C_L, H, W) descriptor stack.
+    Returns None for single-frame clips (no co-frames to correlate with).
+    """
+    desc = np.asarray(spatial_desc, dtype=np.float64)
+    if desc.ndim != 4:
+        raise DimensionError(f"expected (T, C_L, H, W) descriptors, got {desc.shape}")
+    t_len, c_l, h, w = desc.shape
+    if not 0 <= frame < t_len:
+        raise ContractError(f"frame {frame} out of range for {t_len} frames")
+    if t_len == 1:
+        return None
+    nd = _standardized(desc.reshape(t_len, c_l, h * w).transpose(0, 2, 1), eps)
+    return _volume_for_frame(nd, frame).reshape((t_len - 1) * h * w, h, w)
+
+
+def build_channel_volume(channel_desc, frame: int, eps: float = 1e-5):
+    """Correlation volume ((T-1)*C, C, 1, 1) of one frame's channels vs. the rest.
+
+    Mirrors ``build_spatial_volume`` with channels as descriptors: each
+    channel's flattened H_L*W_L map is compared against every channel of
+    every other frame.  Returns None for single-frame clips.
+    """
+    desc = np.asarray(channel_desc, dtype=np.float64)
+    if desc.ndim != 4:
+        raise DimensionError(f"expected (T, C, H_L, W_L) descriptors, got {desc.shape}")
+    t_len, c, h_l, w_l = desc.shape
+    if h_l * w_l < 2:
+        raise ContractError("channel descriptors need at least 2 spatial positions")
+    if not 0 <= frame < t_len:
+        raise ContractError(f"frame {frame} out of range for {t_len} frames")
+    if t_len == 1:
+        return None
+    nd = _standardized(desc.reshape(t_len, c, h_l * w_l), eps)
+    return _volume_for_frame(nd, frame).reshape((t_len - 1) * c, c, 1, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +260,7 @@ def _volume_oracles() -> list[PropertyResult]:
         for h, w in ((2, 2), (4, 3), (4, 4)):
             desc = rng.standard_normal((t_len, 4, h, w))
             for t in range(t_len):
-                vol = build_spatial_volume(Tensor(desc), t).data
+                vol = build_spatial_volume(desc, t)
                 slot = 0
                 for k in [k for k in range(t_len) if k != t]:
                     for hh in range(h):
@@ -212,7 +275,7 @@ def _volume_oracles() -> list[PropertyResult]:
         for c in (3, 8):
             desc = rng.standard_normal((t_len, c, 2, 2))
             for t in range(t_len):
-                vol = build_channel_volume(Tensor(desc), t).data
+                vol = build_channel_volume(desc, t)
                 slot = 0
                 for k in [k for k in range(t_len) if k != t]:
                     for cp in range(c):
@@ -224,17 +287,21 @@ def _volume_oracles() -> list[PropertyResult]:
             PropertyResult("oracle/channel_volume", worst_c <= 1e-10, worst_c, 1e-10)]
 
 
-def materialized_attention(csl: CoSaliencyLearning, f: Tensor) -> CoSaliencyAttention:
-    """The co-saliency logits by definition: every frame's correlation volumes
-    built one clip at a time, then the summarize convs (values only, no graph)."""
-    b, t = f.shape[:2]
+def materialized_attention(csl: CoSaliencyLearning, f: Tensor) -> tuple[np.ndarray, np.ndarray]:
+    """The co-saliency logits (z_s, z_c) of a clip batch with T >= 2 by definition,
+    in float64: every frame's correlation volumes built one clip at a time from the
+    module's descriptors, then the summarize weights and bias applied to them."""
+    b, t, c, h, w = f.shape
     sd, cd = csl.reduce_dims(f)
     eps = csl.cfg.ncc_eps
-    spatial = [[build_spatial_volume(Tensor(sd.data[i]), k, eps).data for k in range(t)]
-               for i in range(b)]
-    channel = [[build_channel_volume(Tensor(cd.data[i]), k, eps).data[..., 0] for k in range(t)]
-               for i in range(b)]
-    return csl.summarize_attention(Tensor(np.array(spatial)), Tensor(np.array(channel)))
+
+    def logits(build, desc, summarize):
+        vols = np.array([[build(desc[i], k, eps) for k in range(t)] for i in range(b)])
+        weight = summarize.weight.data.astype(np.float64).ravel()
+        return np.tensordot(vols, weight, axes=([2], [0])) + float(summarize.bias.data[0])
+
+    return (logits(build_spatial_volume, sd.data, csl.summarize_spatial).reshape(b, t, 1, h, w),
+            logits(build_channel_volume, cd.data, csl.summarize_channel).reshape(b, t, c, 1, 1))
 
 
 def _fused_cosaliency_oracle() -> list[PropertyResult]:
@@ -250,9 +317,8 @@ def _fused_cosaliency_oracle() -> list[PropertyResult]:
             f = Tensor(rng.standard_normal((2, t_len, c, h, w)))
             with no_grad():
                 fused = csl.attention(f)
-                ref = materialized_attention(csl, f)
-            worst = max(worst, abs(fused.z_s.data - ref.z_s.data).max(),
-                        abs(fused.z_c.data - ref.z_c.data).max())
+                ref_s, ref_c = materialized_attention(csl, f)
+            worst = max(worst, abs(fused.z_s.data - ref_s).max(), abs(fused.z_c.data - ref_c).max())
             cases += 1
     return [PropertyResult("oracle/fused_cosaliency", worst <= 1e-10, worst, 1e-10,
                            detail=f"{cases} modules, T in 2-4")]

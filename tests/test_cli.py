@@ -181,6 +181,27 @@ class TestEval:
         table = capsys.readouterr().out.splitlines()[1]
         assert table.split()[0] == "100.0"
 
+    @pytest.mark.parametrize("max_rank", ["0", "-1"])
+    def test_max_rank_below_one_exits_one(self, tmp_path, dataset_dir, capsys, max_rank):
+        run = tmp_path / "run"
+        assert main(train_args(dataset_dir, run, epochs=0)) == 0
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", str(run / "checkpoint.ckpt"),
+                     "--data", str(dataset_dir), "--max-rank", max_rank,
+                     "--out", str(tmp_path / "e")]) == 1
+        assert "error: max_rank must be >= 1" in capsys.readouterr().err
+
+    def test_table_shows_only_ranks_up_to_max_rank(self, tmp_path, dataset_dir, capsys):
+        run = tmp_path / "run"
+        assert main(train_args(dataset_dir, run, epochs=0)) == 0
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", str(run / "checkpoint.ckpt"),
+                     "--data", str(dataset_dir), "--max-rank", "1",
+                     "--out", str(tmp_path / "e")]) == 0
+        head, row = capsys.readouterr().out.splitlines()[:2]
+        assert head.split() == ["Rank-1", "mAP"]
+        assert len(row.split()) == 2
+
     def test_frame_size_mismatch_rejected(self, tmp_path, dataset_dir, capsys):
         run = tmp_path / "run"
         assert main(train_args(dataset_dir, run, epochs=0)) == 0

@@ -7,9 +7,8 @@ from hypothesis import strategies as st
 
 from cstnet.data import SequenceRecord, VideoDataset
 from cstnet.errors import ContractError
-from cstnet.metrics import (RankingMetrics, average_precisions, compute_cmc,
-                            compute_map, evaluate, evenly_spaced_indices,
-                            ranking_metrics)
+from cstnet.metrics import (RankingMetrics, compute_cmc, compute_map, evaluate,
+                            evenly_spaced_indices, ranking_metrics)
 
 
 def oracle_rank(dist, qid, gid, qcam, gcam, max_rank):

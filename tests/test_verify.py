@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from cstnet.verify import main_report, run_gradcheck_suite, run_verification
+from cstnet.verify import main_report, run_verification
 
 
 def test_clean_build_passes_everything():
@@ -15,20 +15,19 @@ def test_sign_flip_fault_is_caught_where_expected():
     results = {r.name: r for r in run_verification(inject_fault="ncc-sign-flip")}
     assert results["ncc/symmetry_exact"].passed            # symmetry survives the flip
     assert not results["ncc/affine_invariance"].passed     # invariance breaks
-    assert not results["oracle/spatial_volume"].passed     # oracles catch it too
-    assert not results["oracle/channel_volume"].passed
+    assert not results["oracle/fused_cosaliency"].passed   # the model's path against the oracle
     assert any(not r.passed for r in results.values())
 
 
-def test_gradcheck_suite_reports_small_errors():
-    results = run_gradcheck_suite()
+def test_gradcheck_suite_reports_small_errors(gradcheck_run):
+    results, _ = gradcheck_run
     assert all(r.passed for r in results)
     worst = max(r.measured for r in results if r.name.startswith("grad/"))
     assert worst < 1e-4
 
 
-def test_report_lines_and_exit_logic(capsys):
-    results = run_gradcheck_suite()
+def test_report_lines_and_exit_logic(capsys, gradcheck_run):
+    results, _ = gradcheck_run
     ok = main_report(results, checks_s=1.25)
     out = capsys.readouterr().out
     assert ok
