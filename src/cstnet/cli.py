@@ -2,9 +2,15 @@
 
 Commands: ``synth`` (generate + save a dataset), ``train``, ``eval``,
 ``verify`` (property suite), ``gradcheck`` (finite-difference suite only).
-Every command reads an optional ``key = value`` config file, applies
-command-line overrides, writes a resolved-config echo into the output
-directory, and is fully reproducible from that echo plus its seed.
+Every command reads an optional ``key = value`` config file and applies
+command-line overrides (``--stage-channels`` sets ``stage_channels``).
+``synth``, ``train`` and ``eval`` write a resolved-config echo into the
+output directory and are fully reproducible from that echo plus its seed.
+
+The keys of ``synth`` and ``train`` are the field names of ``SynthSpec``,
+and of ``CstnetConfig``, ``TrainConfig`` and ``AdamConfig``, plus the few
+keys that belong to the command alone; each key's default and type are the
+field's default and its type.  Tuple keys take comma-separated items.
 
 Exit codes: 0 success, 1 contract/config error, 2 verification failure.
 The output directory defaults to ``--out`` but can be forced with the
@@ -17,15 +23,14 @@ import argparse
 import os
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
-
-import numpy as np
 
 from .checkpoint import load_model, save_model
 from .data import (SynthSpec, dataset_census, generate_synthetic, load_dataset,
                    save_dataset)
 from .errors import ConfigError, ContractError, DimensionError, FormatError, NumericError
-from .experiments import ABLATIONS
+from .experiments import variant_flags
 from .metrics import evaluate
 from .model import Cstnet, CstnetConfig
 from .optim import AdamConfig
@@ -35,53 +40,52 @@ from .verify import main_report, run_gradcheck_suite, run_verification
 OUT_ENV_VAR = "CSTNET_OUT"
 
 
-def _parse_bool(text: str) -> bool:
-    lowered = text.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ConfigError(f"expected a boolean, got {text!r}")
+# Fields no command sets; they keep their dataclass defaults.
+_FIXED = {"ncc_eps", "jitter_px", "beta1", "beta2", "eps"}
+# Fields `train` fills itself: from the dataset, from the ablation's
+# variant_flags, and the nested optimizer config.
+_TRAIN_FILLED = {"num_identities", "frame_h", "frame_w", "in_channels",
+                 "with_csl", "with_sti", "adam"}
 
 
-def _parse_int_tuple(text: str) -> tuple:
-    return tuple(int(part) for part in str(text).split(",") if part.strip())
+def _field_defaults(cls, filled=frozenset()) -> dict:
+    return {f.name: f.default for f in fields(cls) if f.name not in _FIXED | filled}
 
 
-_PARSERS = {int: int, float: float, str: str, bool: _parse_bool, tuple: _parse_int_tuple}
-
-# key -> value type, per command
-SCHEMAS: dict[str, dict[str, type]] = {
-    "synth": {
-        "identities": int, "cams": int, "seqs_per_cam": int,
-        "seq_len_min": int, "seq_len_max": int, "frame_h": int, "frame_w": int,
-        "clutter": float, "clutter_patches": int,
-        "illum_scale_lo": float, "illum_scale_hi": float,
-        "illum_shift_lo": float, "illum_shift_hi": float,
-        "occlusion_p": float, "seed": int, "out": str,
-    },
+# command -> key -> default; a key's type is its default's type
+DEFAULTS: dict[str, dict] = {
+    "synth": {**_field_defaults(SynthSpec), "out": "synth_out"},
     "train": {
-        "data": str, "out": str, "epochs": int, "ablation": str, "seed": int,
-        "clip_len": int, "embedding_dim": int, "stage_channels": tuple,
-        "stage_strides": tuple, "insertion_points": tuple,
-        "csl_channels": int, "csl_pool_h": int, "csl_pool_w": int,
-        "sti_channels": int, "sti_pool_h": int, "sti_pool_w": int,
-        "input_scale": float, "dtype": str,
-        "p": int, "k": int, "margin": float, "label_smoothing": float,
-        "flip_p": float, "erase_p": float, "steps_per_epoch": int,
-        "lr": float, "weight_decay": float, "lr_decay": float, "lr_decay_every": int,
-        "checkpoint_every": int,
+        **_field_defaults(CstnetConfig, _TRAIN_FILLED),
+        **_field_defaults(TrainConfig, _TRAIN_FILLED),
+        **_field_defaults(AdamConfig),
+        "data": "", "out": "train_out", "ablation": "full", "checkpoint_every": 0,
     },
-    "eval": {
-        "checkpoint": str, "data": str, "out": str, "max_rank": int, "clip_len": int,
-    },
-    "verify": {"inject_fault": str, "out": str},
-    "gradcheck": {"out": str},
+    "eval": {"checkpoint": "", "data": "", "out": "eval_out", "max_rank": 20, "clip_len": 0},
+    "verify": {"inject_fault": ""},
+    "gradcheck": {},
 }
 
 
-def load_config_file(path, schema: dict[str, type]) -> dict:
-    """Parse ``key = value`` lines; unknown keys are rejected."""
+def _parser_for(default):
+    """Text -> value of the default's type; tuple items take the type of the default's items."""
+    if not isinstance(default, tuple):
+        return type(default)
+    item = type(default[0])
+
+    def comma_list(text: str) -> tuple:
+        return tuple(item(part) for part in text.split(",") if part.strip())
+    return comma_list
+
+
+def config_from(cls, resolved: dict, **filled):
+    """``cls`` built from the resolved keys that are its fields, plus ``filled``."""
+    names = {f.name for f in fields(cls)}
+    return cls(**{key: value for key, value in resolved.items() if key in names}, **filled)
+
+
+def load_config_file(path, schema: dict) -> dict:
+    """Parse ``key = value`` lines typed by ``schema`` (key -> default); unknown keys are rejected."""
     values = {}
     text = Path(path).read_text()
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -94,16 +98,16 @@ def load_config_file(path, schema: dict[str, type]) -> dict:
         if key not in schema:
             raise ConfigError(f"{path}: unknown key {key!r} on line {lineno}")
         try:
-            values[key] = _PARSERS[schema[key]](value)
-        except (ValueError, ConfigError) as exc:
+            values[key] = _parser_for(schema[key])(value)
+        except ValueError as exc:
             raise ConfigError(f"{path}: bad value for {key!r} on line {lineno}: {exc}") from None
     return values
 
 
-def resolve_config(command: str, args: argparse.Namespace, defaults: dict) -> dict:
+def resolve_config(command: str, args: argparse.Namespace) -> dict:
     """defaults < config file < explicit command-line flags."""
-    schema = SCHEMAS[command]
-    resolved = dict(defaults)
+    schema = DEFAULTS[command]
+    resolved = dict(schema)
     if getattr(args, "config", None):
         resolved.update(load_config_file(args.config, schema))
     for key in schema:
@@ -116,8 +120,6 @@ def resolve_config(command: str, args: argparse.Namespace, defaults: dict) -> di
 def _format_value(value) -> str:
     if isinstance(value, tuple):
         return ",".join(str(v) for v in value)
-    if isinstance(value, bool):
-        return "true" if value else "false"
     return str(value)
 
 
@@ -136,25 +138,8 @@ def _out_dir(resolved: dict) -> Path:
 # ---------------------------------------------------------------------------
 
 def cmd_synth(args) -> int:
-    defaults = {
-        "identities": 16, "cams": 2, "seqs_per_cam": 3,
-        "seq_len_min": 10, "seq_len_max": 16, "frame_h": 32, "frame_w": 16,
-        "clutter": 0.0, "clutter_patches": 6,
-        "illum_scale_lo": 1.0, "illum_scale_hi": 1.0,
-        "illum_shift_lo": 0.0, "illum_shift_hi": 0.0,
-        "occlusion_p": 0.0, "seed": 0, "out": "synth_out",
-    }
-    resolved = resolve_config("synth", args, defaults)
-    spec = SynthSpec(
-        num_identities=resolved["identities"], cams=resolved["cams"],
-        seqs_per_cam=resolved["seqs_per_cam"],
-        seq_len_min=resolved["seq_len_min"], seq_len_max=resolved["seq_len_max"],
-        frame_h=resolved["frame_h"], frame_w=resolved["frame_w"],
-        clutter=resolved["clutter"], clutter_patches=resolved["clutter_patches"],
-        illum_scale=(resolved["illum_scale_lo"], resolved["illum_scale_hi"]),
-        illum_shift=(resolved["illum_shift_lo"], resolved["illum_shift_hi"]),
-        occlusion_p=resolved["occlusion_p"], seed=resolved["seed"],
-    )
+    resolved = resolve_config("synth", args)
+    spec = config_from(SynthSpec, resolved)
     dataset = generate_synthetic(spec)
     out = _out_dir(resolved)
     write_config_echo(out, resolved)
@@ -165,60 +150,22 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _model_config_from(resolved: dict, num_identities: int, frame_shape) -> CstnetConfig:
-    flags = ABLATIONS.get(resolved["ablation"])
-    if flags is None:
-        raise ConfigError(f"ablation must be one of {sorted(ABLATIONS)}, "
-                          f"got {resolved['ablation']!r}")
-    return CstnetConfig(
-        num_identities=num_identities, clip_len=resolved["clip_len"],
-        frame_h=frame_shape[1], frame_w=frame_shape[2],
-        stage_channels=resolved["stage_channels"], stage_strides=resolved["stage_strides"],
-        insertion_points=resolved["insertion_points"], **flags,
-        embedding_dim=resolved["embedding_dim"],
-        csl_channels=resolved["csl_channels"], csl_pool_h=resolved["csl_pool_h"],
-        csl_pool_w=resolved["csl_pool_w"],
-        sti_channels=resolved["sti_channels"], sti_pool_h=resolved["sti_pool_h"],
-        sti_pool_w=resolved["sti_pool_w"],
-        input_scale=resolved["input_scale"], dtype=resolved["dtype"],
-        seed=resolved["seed"],
-    )
-
-
 def cmd_train(args) -> int:
-    defaults = {
-        "data": "", "out": "train_out", "epochs": 50, "ablation": "full", "seed": 0,
-        "clip_len": 4, "embedding_dim": 64,
-        "stage_channels": (8, 16, 32, 64, 128), "stage_strides": (1, 2, 2, 2, 2),
-        "insertion_points": (2, 3, 4),
-        "csl_channels": 16, "csl_pool_h": 4, "csl_pool_w": 2,
-        "sti_channels": 16, "sti_pool_h": 4, "sti_pool_w": 2,
-        "input_scale": 1.0, "dtype": "f32",
-        "p": 8, "k": 2, "margin": 0.3, "label_smoothing": 0.1,
-        "flip_p": 0.5, "erase_p": 0.3, "steps_per_epoch": 0,
-        "lr": 3e-4, "weight_decay": 5e-4, "lr_decay": 0.1, "lr_decay_every": 200,
-        "checkpoint_every": 0,
-    }
-    resolved = resolve_config("train", args, defaults)
+    resolved = resolve_config("train", args)
+    train_cfg = config_from(TrainConfig, resolved, adam=config_from(AdamConfig, resolved))
+    flags = variant_flags(resolved["ablation"])
     if not resolved["data"]:
         raise ConfigError("train requires a dataset directory (--data)")
     dataset = load_dataset(resolved["data"])
     train_split = dataset.of_split("train")
     if not train_split:
         raise ContractError("dataset has no train split")
-    num_ids = len({s.identity for s in dataset.sequences})
-    model_cfg = _model_config_from(resolved, num_ids, dataset.frame_shape())
+    in_channels, frame_h, frame_w = dataset.frame_shape()
+    model_cfg = config_from(CstnetConfig, resolved, num_identities=dataset.num_identities,
+                       in_channels=in_channels, frame_h=frame_h, frame_w=frame_w, **flags)
     model = Cstnet(model_cfg)
     out = _out_dir(resolved)
     write_config_echo(out, resolved)
-    adam = AdamConfig(lr=resolved["lr"], weight_decay=resolved["weight_decay"],
-                      lr_decay=resolved["lr_decay"], lr_decay_every=resolved["lr_decay_every"])
-    train_cfg = TrainConfig(
-        epochs=resolved["epochs"], p=resolved["p"], k=resolved["k"],
-        margin=resolved["margin"], label_smoothing=resolved["label_smoothing"],
-        flip_p=resolved["flip_p"], erase_p=resolved["erase_p"], adam=adam,
-        seed=resolved["seed"], steps_per_epoch=resolved["steps_per_epoch"],
-    )
 
     def checkpoint_fn(epoch: int):
         save_model(out / f"checkpoint_ep{epoch + 1:04d}.ckpt", model)
@@ -237,8 +184,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    defaults = {"checkpoint": "", "data": "", "out": "eval_out", "max_rank": 20, "clip_len": 0}
-    resolved = resolve_config("eval", args, defaults)
+    resolved = resolve_config("eval", args)
     if not resolved["checkpoint"] or not resolved["data"]:
         raise ConfigError("eval requires --checkpoint and --data")
     model = load_model(resolved["checkpoint"])
@@ -270,8 +216,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    defaults = {"inject_fault": "", "out": ""}
-    resolved = resolve_config("verify", args, defaults)
+    resolved = resolve_config("verify", args)
     started = time.perf_counter()
     results = run_verification(inject_fault=resolved["inject_fault"] or None)
     ok = main_report(results, checks_s=time.perf_counter() - started)
@@ -279,6 +224,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    resolve_config("gradcheck", args)
     started = time.perf_counter()
     results = run_gradcheck_suite()
     ok = main_report(results, checks_s=time.perf_counter() - started)
@@ -302,14 +248,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.set_defaults(fn=fn)
         p.add_argument("--config", help="key = value config file")
-        for key, typ in SCHEMAS[name].items():
-            flag = "--" + key.replace("_", "-")
-            if typ is bool:
-                p.add_argument(flag, type=_parse_bool, default=None)
-            elif typ is tuple:
-                p.add_argument(flag, type=_parse_int_tuple, default=None)
-            else:
-                p.add_argument(flag, type=typ, default=None)
+        for key, default in DEFAULTS[name].items():
+            p.add_argument("--" + key.replace("_", "-"), type=_parser_for(default), default=None)
         return p
 
     add("synth", cmd_synth)

@@ -125,6 +125,8 @@ class SynthSpec:
             raise ContractError("occlusion_p must be in [0, 1]")
         if self.jitter_px < 0:
             raise ContractError("jitter_px must be >= 0")
+        if len(self.illum_scale) != 2 or len(self.illum_shift) != 2:
+            raise ContractError("illum_scale and illum_shift must each be a (lo, hi) pair")
         if self.illum_scale[0] <= 0 or self.illum_scale[0] > self.illum_scale[1]:
             raise ContractError("illum_scale must satisfy 0 < lo <= hi")
         if self.illum_shift[0] > self.illum_shift[1]:

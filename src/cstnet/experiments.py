@@ -10,6 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import generate_synthetic
+from .errors import ConfigError
 from .metrics import evaluate
 from .model import Cstnet, CstnetConfig
 from .presets import ABLATION_DATA, LEARNABILITY_DATA, desk_train_config
@@ -27,7 +28,7 @@ ABLATION_VARIANTS = tuple(ABLATIONS)
 
 def variant_flags(variant: str) -> dict:
     if variant not in ABLATIONS:
-        raise ValueError(f"unknown ablation variant {variant!r}; expected one of "
+        raise ConfigError(f"unknown ablation variant {variant!r}; expected one of "
                          f"{ABLATION_VARIANTS}")
     return dict(ABLATIONS[variant])
 

@@ -6,7 +6,7 @@ import numpy as np
 
 from .errors import ContractError, DimensionError
 from .tensor import (Tensor, add, constant, log_softmax, matmul, mul, neg, permute,
-                     reduce_max, reduce_min, relu, reshape, scale, sqrt, sub, tmean, tsum)
+                     reduce_max, reduce_min, relu, scale, sqrt, sub, tmean, tsum)
 
 _MASK_OFFSET = 1e9
 

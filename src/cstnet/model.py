@@ -59,6 +59,10 @@ class CstnetConfig:
             raise ConfigError("clip_len must be >= 1")
         if len(self.stage_channels) != 5 or len(self.stage_strides) != 5:
             raise ConfigError("exactly 5 stage channel counts and strides are required")
+        if min(self.stage_channels) < 1:
+            raise ConfigError(f"stage_channels must be >= 1 each, got {self.stage_channels}")
+        if min(self.stage_strides) < 1:
+            raise ConfigError(f"stage_strides must be >= 1 each, got {self.stage_strides}")
         if not set(self.insertion_points) <= set(range(1, 6)):
             raise ConfigError(f"insertion_points must be within 1..5, got {self.insertion_points}")
         if self.embedding_dim < 1:

@@ -7,7 +7,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import ConfigError
-from .tensor import Tensor, add, batch_norm, constant, conv2d, matmul, permute, reshape
+from .tensor import Tensor, add, batch_norm, conv2d, matmul, permute, reshape
 
 
 class Parameter(Tensor):

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericError
+from .errors import ConfigError, NumericError
 from .nn import Parameter
 
 
@@ -19,6 +19,10 @@ class AdamConfig:
     weight_decay: float = 5e-4
     lr_decay: float = 0.1
     lr_decay_every: int = 200       # epochs between decays
+
+    def __post_init__(self):
+        if self.lr_decay_every < 1:
+            raise ConfigError(f"lr_decay_every must be >= 1, got {self.lr_decay_every}")
 
 
 def lr_at_epoch(cfg: AdamConfig, epoch: int) -> float:

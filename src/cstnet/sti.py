@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DimensionError
-from .nn import BatchNorm2d, Conv2d, Linear, Module
+from .nn import Conv2d, Linear, Module
 from .tensor import (Tensor, adaptive_avg_pool2d, add, matmul, mul, permute, relu,
                      reshape, sigmoid, softmax, tmean)
 

@@ -23,7 +23,7 @@ Tensors without gradient state are immutable by convention and safe to share.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 

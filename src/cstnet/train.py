@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import VideoDataset, train_pixel_mean
-from .errors import ContractError, NumericError
+from .errors import ConfigError, NumericError
 from .losses import batch_hard_triplet, label_smooth_ce
 from .optim import Adam, AdamConfig, lr_at_epoch
 from .sampler import PkBatch, augment_clips, epoch_identities, pk_sample
@@ -33,6 +33,16 @@ class TrainConfig:
     adam: AdamConfig = AdamConfig()
     seed: int = 0
     steps_per_epoch: int = 0        # 0 -> train-sequence count // (P*K), min 1
+
+    def __post_init__(self):
+        if self.epochs < 0:
+            raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
+        if self.p < 1:
+            raise ConfigError(f"p must be >= 1, got {self.p}")
+        if self.k < 1:
+            raise ConfigError(f"k must be >= 1, got {self.k}")
+        if self.steps_per_epoch < 0:
+            raise ConfigError(f"steps_per_epoch must be >= 0, got {self.steps_per_epoch}")
 
 
 @dataclass
@@ -123,8 +133,6 @@ def train_epoch(model, dataset: VideoDataset, optimizer: Adam, cfg: TrainConfig,
 def fit(model, dataset: VideoDataset, cfg: TrainConfig, log_path=None,
         checkpoint_fn=None, checkpoint_every: int = 0) -> list[EpochReport]:
     """Run the full schedule; optionally stream logs and periodic checkpoints."""
-    if cfg.epochs < 0:
-        raise ContractError("epochs must be >= 0")
     rng = np.random.default_rng(np.random.PCG64(cfg.seed))
     optimizer = Adam(dict(model.named_parameters()), cfg.adam)
     fill_mean = train_pixel_mean(dataset)

@@ -1,9 +1,12 @@
+import contextlib
+import io
 import time
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+from cstnet.cli import main
 from cstnet.verify import run_gradcheck_suite
 
 settings.register_profile(
@@ -25,3 +28,18 @@ def gradcheck_run():
     started = time.perf_counter()
     results = run_gradcheck_suite()
     return results, time.perf_counter() - started
+
+
+@pytest.fixture(scope="session")
+def sign_flip_verify_run():
+    """One ``cstnet verify --inject-fault ncc-sign-flip`` run, shared by the
+    tests that read it: (exit code, {property name: "PASS" or "FAIL"})."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["verify", "--inject-fault", "ncc-sign-flip"])
+    status = {}
+    for line in out.getvalue().splitlines():
+        if line.startswith(("PASS  ", "FAIL  ")):
+            verdict, name = line.split()[:2]
+            status[name] = verdict
+    return code, status

@@ -1,18 +1,23 @@
 """Command-line behavior: determinism, config handling, exit codes, outputs."""
 
+import argparse
 import json
-import os
 import shutil
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cstnet.checkpoint import load_model
-from cstnet.cli import main
-from cstnet.data import load_dataset
+from cstnet.cli import DEFAULTS, config_from, load_config_file, main, resolve_config
+from cstnet.data import SynthSpec
+from cstnet.experiments import variant_flags
 from cstnet.io import read_checkpoint, read_tensor, write_tensor
 from cstnet.model import Cstnet, CstnetConfig
+from cstnet.optim import AdamConfig
+from cstnet.presets import LEARNABILITY_DATA, desk_train_config
+from cstnet.train import TrainConfig
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def files_equal(a: Path, b: Path) -> bool:
@@ -24,7 +29,7 @@ def files_equal(a: Path, b: Path) -> bool:
 
 
 def synth_args(out, identities=6, seed=7, extra=()):
-    return ["synth", "--identities", str(identities), "--cams", "2",
+    return ["synth", "--num-identities", str(identities), "--cams", "2",
             "--seqs-per-cam", "2", "--seq-len-min", "4", "--seq-len-max", "6",
             "--seed", str(seed), "--out", str(out), *extra]
 
@@ -40,7 +45,7 @@ class TestSynth:
         assert "error" in capsys.readouterr().err
 
     def test_census_line(self, tmp_path, capsys):
-        assert main(["synth", "--identities", "5", "--cams", "3", "--seqs-per-cam", "1",
+        assert main(["synth", "--num-identities", "5", "--cams", "3", "--seqs-per-cam", "1",
                      "--seed", "0", "--out", str(tmp_path / "a")]) == 0
         out = capsys.readouterr().out
         assert "sequences=15" in out        # identities x cams at one sequence each
@@ -49,15 +54,15 @@ class TestSynth:
     def test_resolved_config_echo_written(self, tmp_path):
         main(synth_args(tmp_path / "a"))
         echo = (tmp_path / "a" / "config_resolved.cfg").read_text()
-        assert "identities = 6" in echo and "seed = 7" in echo
+        assert "num_identities = 6" in echo and "seed = 7" in echo
 
     def test_config_file_with_cli_override(self, tmp_path):
         cfg = tmp_path / "synth.cfg"
-        cfg.write_text("identities = 4\nseed = 3\n")
+        cfg.write_text("num_identities = 4\nseed = 3\n")
         assert main(["synth", "--config", str(cfg), "--seed", "9",
                      "--out", str(tmp_path / "a")]) == 0
         echo = (tmp_path / "a" / "config_resolved.cfg").read_text()
-        assert "identities = 4" in echo     # from file
+        assert "num_identities = 4" in echo     # from file
         assert "seed = 9" in echo           # overridden on the command line
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
@@ -65,6 +70,26 @@ class TestSynth:
         cfg.write_text("identitties = 4\n")
         assert main(["synth", "--config", str(cfg), "--out", str(tmp_path / "a")]) == 1
         assert "unknown key" in capsys.readouterr().err
+
+    # keys are field names; the older key names get no alias
+    @pytest.mark.parametrize("key", ["identities", "illum_scale_lo", "illum_shift_hi"])
+    def test_renamed_key_rejected(self, tmp_path, capsys, key):
+        cfg = tmp_path / "synth.cfg"
+        cfg.write_text(f"seed = 1\n{key} = 4\n")
+        assert main(["synth", "--config", str(cfg), "--out", str(tmp_path / "a")]) == 1
+        assert f"unknown key {key!r} on line 2" in capsys.readouterr().err
+
+    def test_tuple_keys_parse_as_float_pairs(self, tmp_path):
+        assert main(synth_args(tmp_path / "a", extra=("--illum-scale", "0.7,1.3",
+                                                       "--illum-shift=-0.1,0.1"))) == 0
+        echo = (tmp_path / "a" / "config_resolved.cfg").read_text()
+        assert "illum_scale = 0.7,1.3" in echo and "illum_shift = -0.1,0.1" in echo
+
+    @pytest.mark.parametrize("flag", ["--illum-scale", "--illum-shift"])
+    def test_illumination_range_must_be_a_pair(self, tmp_path, capsys, flag):
+        assert main(synth_args(tmp_path / "a", extra=(flag, "0.7"))) == 1
+        err = capsys.readouterr().err
+        assert "illum_scale and illum_shift must each be a (lo, hi) pair" in err
 
     def test_env_var_overrides_out_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("CSTNET_OUT", str(tmp_path / "forced"))
@@ -85,7 +110,7 @@ def train_args(data, out, epochs=1, extra=()):
 @pytest.fixture(scope="module")
 def dataset_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("synth")
-    code = main(["synth", "--identities", "8", "--cams", "2", "--seqs-per-cam", "2",
+    code = main(["synth", "--num-identities", "8", "--cams", "2", "--seqs-per-cam", "2",
                  "--seq-len-min", "4", "--seq-len-max", "6", "--frame-h", "16",
                  "--frame-w", "8", "--clutter", "0.3", "--seed", "2",
                  "--out", str(out)])
@@ -141,6 +166,22 @@ class TestTrain:
         assert main(train_args(dataset_dir, tmp_path / "out", epochs=0,
                                extra=("--ablation", "everything"))) == 1
         assert "ablation" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value, field", [
+        ("--p", "0", "p"),
+        ("--k", "0", "k"),
+        ("--epochs", "-1", "epochs"),
+        ("--steps-per-epoch", "-1", "steps_per_epoch"),
+        ("--lr-decay-every", "0", "lr_decay_every"),
+        ("--stage-strides", "0,2,2,2,2", "stage_strides"),
+        ("--stage-channels", "0,8,8,8,8", "stage_channels"),
+    ])
+    def test_out_of_range_value_exits_one_naming_the_field(self, tmp_path, dataset_dir, capsys,
+                                                           flag, value, field):
+        assert main(train_args(dataset_dir, tmp_path / "out", epochs=1,
+                               extra=(flag, value))) == 1
+        assert capsys.readouterr().err.startswith(f"error: {field} must be >= ")
+        assert not (tmp_path / "out").exists()
 
 
 class TestEval:
@@ -205,7 +246,7 @@ class TestEval:
     def test_frame_size_mismatch_rejected(self, tmp_path, dataset_dir, capsys):
         run = tmp_path / "run"
         assert main(train_args(dataset_dir, run, epochs=0)) == 0
-        code = main(["synth", "--identities", "4", "--cams", "2", "--seqs-per-cam", "2",
+        code = main(["synth", "--num-identities", "4", "--cams", "2", "--seqs-per-cam", "2",
                      "--frame-h", "32", "--frame-w", "16", "--seed", "1",
                      "--out", str(tmp_path / "big")])
         assert code == 0
@@ -221,11 +262,35 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
 
-    def test_injected_fault_fails_with_exit_two(self, capsys):
-        assert main(["verify", "--inject-fault", "ncc-sign-flip"]) == 2
-        out = capsys.readouterr().out
-        assert "FAIL  ncc/affine_invariance" in out
-        assert "PASS  ncc/symmetry_exact" in out
+    def test_injected_fault_fails_with_exit_two(self, sign_flip_verify_run):
+        code, status = sign_flip_verify_run
+        assert code == 2
+        assert status["ncc/symmetry_exact"] == "PASS"             # symmetry survives the flip
+        assert status["ncc/affine_invariance"] == "FAIL"          # invariance breaks
+        assert status["oracle/fused_cosaliency"] == "FAIL"        # the model's path against the oracle
 
     def test_unknown_fault_name_is_config_error(self, capsys):
         assert main(["verify", "--inject-fault", "bogus"]) == 1
+
+    @pytest.mark.parametrize("command", ["verify", "gradcheck"])
+    def test_config_file_is_read_and_out_is_not_a_key(self, tmp_path, capsys, command):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("out = somewhere\n")
+        assert main([command, "--config", str(cfg)]) == 1
+        assert "unknown key 'out' on line 1" in capsys.readouterr().err
+
+
+class TestShippedConfigs:
+    """``configs/`` mirrors the presets; the CLI must resolve each file to them."""
+
+    def test_learnability_data_matches_preset(self):
+        values = load_config_file(CONFIGS / "learnability_data.cfg", DEFAULTS["synth"])
+        assert SynthSpec(**values) == LEARNABILITY_DATA
+
+    def test_train_desk_matches_desk_schedule_and_model_defaults(self):
+        resolved = resolve_config("train", argparse.Namespace(config=CONFIGS / "train_desk.cfg"))
+        train_cfg = config_from(TrainConfig, resolved, adam=config_from(AdamConfig, resolved))
+        assert train_cfg == desk_train_config(epochs=50)
+        model_cfg = config_from(CstnetConfig, resolved, num_identities=16,
+                                **variant_flags(resolved["ablation"]))
+        assert model_cfg == CstnetConfig(num_identities=16)
