@@ -29,8 +29,9 @@ entries each) and W the summarize weight viewed as (T-1, n),
 
 computed for the whole batch with three matmuls (``_fused_logits``): cost
 O(T^2 * n * d) instead of the volumes' O(T^2 * n^2 * d).  The materialized
-definition (volumes, then the summarize weights) lives only in ``verify`` as
-the numpy oracle that ``cstnet verify`` and the tests compare against.
+definition (the scalar NCC, the volumes, then the summarize weights) lives
+only in ``verify`` as the numpy oracle that ``cstnet verify`` and the tests
+compare against.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import faults
-from .errors import ConfigError, ContractError, DimensionError
+from .errors import ConfigError, DimensionError
 from .nn import BatchNorm2d, Conv2d, Module
 from .tensor import (Tensor, adaptive_avg_pool2d, add, constant, matmul, mul, neg, permute,
                      relu, reshape, scale, sigmoid, standardize)
@@ -82,31 +83,6 @@ class CoSaliencyAttention:
     z_s: Tensor
     z_c: Tensor
     z: Tensor
-
-
-def ncc(p, q, eps: float = 1e-5) -> float:
-    """Normalized cross correlation of two descriptors.
-
-    (1/d) * sum((p - mean_p) * (q - mean_q)) / ((std_p + eps) * (std_q + eps))
-    with population standard deviations; eps guards constant descriptors.
-    Robust to positive affine rescaling of either argument.
-    """
-    p = np.asarray(p, dtype=np.float64)
-    q = np.asarray(q, dtype=np.float64)
-    if p.shape != q.shape or p.ndim != 1:
-        raise DimensionError(f"ncc: descriptors must be equal-length vectors, got "
-                             f"{p.shape} and {q.shape}")
-    d = p.size
-    if d < 2:
-        raise ContractError("ncc: descriptors need at least 2 entries")
-    if eps <= 0:
-        raise ContractError("ncc: eps must be positive")
-    pc = p - p.mean()
-    qc = q - q.mean()
-    value = float((pc * qc).sum() / d / ((pc.std() + eps) * (qc.std() + eps)))
-    if faults.is_active("ncc-sign-flip"):
-        value = -value
-    return value
 
 
 def _standardized_spatial(desc: Tensor, eps: float) -> Tensor:

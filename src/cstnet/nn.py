@@ -93,9 +93,6 @@ class Module:
         for p in self.parameters():
             p.zero_grad()
 
-    def parameter_count(self) -> int:
-        return sum(p.size for p in self.parameters())
-
 
 def fan_in_uniform(rng: np.random.Generator, shape: tuple, fan_in: int, dtype) -> np.ndarray:
     bound = 1.0 / np.sqrt(fan_in)

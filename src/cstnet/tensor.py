@@ -48,10 +48,6 @@ class no_grad:
         return False
 
 
-def grad_enabled() -> bool:
-    return _grad_enabled
-
-
 class OpRecord:
     """How a tensor was produced: op kind, input tensors, saved values.
 
@@ -100,9 +96,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
-
-    def numpy(self) -> np.ndarray:
-        return self.data
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
@@ -778,7 +771,7 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
 
 
 __all__ = [
-    "Tensor", "OpRecord", "no_grad", "grad_enabled", "constant",
+    "Tensor", "OpRecord", "no_grad", "constant",
     "add", "sub", "mul", "div", "neg", "scale",
     "relu", "sigmoid", "exp", "log", "sqrt", "softmax", "log_softmax",
     "tsum", "tmean", "reduce_max", "reduce_min",

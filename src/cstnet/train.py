@@ -43,6 +43,14 @@ class TrainConfig:
             raise ConfigError(f"k must be >= 1, got {self.k}")
         if self.steps_per_epoch < 0:
             raise ConfigError(f"steps_per_epoch must be >= 0, got {self.steps_per_epoch}")
+        if self.margin < 0:
+            raise ConfigError(f"margin must be >= 0, got {self.margin}")
+        if not 0 <= self.label_smoothing < 1:
+            raise ConfigError(f"label_smoothing must be in [0, 1), got {self.label_smoothing}")
+        if not 0 <= self.flip_p <= 1:
+            raise ConfigError(f"flip_p must be in [0, 1], got {self.flip_p}")
+        if not 0 <= self.erase_p <= 1:
+            raise ConfigError(f"erase_p must be in [0, 1], got {self.erase_p}")
 
 
 @dataclass

@@ -1,10 +1,17 @@
-"""Self-contained property suite: every differentiable operation and composite
-is checked against central finite differences; ranking metrics, convolution
-and pooling against brute-force oracles; batch norm against a float64
-reference and a graph of simpler ops; and the volume-free co-saliency logits
-against the materialized correlation volumes.  Those volumes are defined only
-here, in float64 numpy and independent of the engine, and are themselves
-checked element by element against a direct NCC formula.  The structural
+"""Self-contained property suite, and the one home of every reference
+implementation.
+
+The references follow their definitions one element at a time, in float64
+numpy and independent of the engine: the scalar NCC (``ncc``) and the
+co-saliency correlation volumes built from it (``build_spatial_volume``,
+``build_channel_volume``, composed by ``materialized_attention``), the matrix
+product (``matmul_loops``), cross-correlation (``conv2d_loops``), adaptive
+average pooling (``pool_loops``), CMC and mAP (``rank_loops``) and the
+batch-hard triplet loss (``batch_hard_triplet_loops``).  ``cstnet verify`` and
+the tests compare the engine and the model against them; the ``ncc/*`` and
+``oracle/*_volume`` properties check the oracles themselves.  Every differentiable operation and
+composite is also checked against central finite differences, and batch norm
+against a float64 reference and a graph of simpler ops.  The structural
 invariants (attention normalization, gate bounds, zero-init identity, CMC
 monotonicity) are measured directly.  Each check reports its measured error so
 regressions are visible even while they still pass.
@@ -17,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import faults, tensor as T
-from .csl import CoSaliencyLearning, CslConfig, ncc
+from .csl import CoSaliencyLearning, CslConfig
 from .errors import ContractError, DimensionError
 from .gradcheck import check_op, max_gradcheck_error
 from .losses import batch_hard_triplet, label_smooth_ce
@@ -43,16 +50,31 @@ class PropertyResult:
         return f"{status}  {self.name:40s} measured={self.measured:.3e} tol={self.tolerance:.1e}{extra}"
 
 
-def _naive_ncc(p, q, eps=1e-5):
-    p = np.asarray(p, float); q = np.asarray(q, float)
+# ---------------------------------------------------------------------------
+# the NCC and the co-saliency correlation volumes by their definition (see the
+# csl module docstring), in float64 numpy: the oracle of the volume-free model
+# path
+# ---------------------------------------------------------------------------
+
+def ncc(p, q, eps: float = 1e-5) -> float:
+    """Normalized cross correlation of two descriptors, by its definition.
+
+    (1/d) * sum((p - mean_p) * (q - mean_q)) / ((std_p + eps) * (std_q + eps))
+    with population standard deviations; eps guards constant descriptors.
+    Robust to positive affine rescaling of either argument.
+    """
+    p = np.asarray(p, dtype=np.float64)
+    q = np.asarray(q, dtype=np.float64)
+    if p.shape != q.shape or p.ndim != 1:
+        raise DimensionError(f"ncc: descriptors must be equal-length vectors, got "
+                             f"{p.shape} and {q.shape}")
+    if p.size < 2:
+        raise ContractError("ncc: descriptors need at least 2 entries")
+    if eps <= 0:
+        raise ContractError("ncc: eps must be positive")
     pc, qc = p - p.mean(), q - q.mean()
     return float((pc * qc).sum() / p.size / ((pc.std() + eps) * (qc.std() + eps)))
 
-
-# ---------------------------------------------------------------------------
-# co-saliency correlation volumes by their definition (see the csl module
-# docstring), in float64 numpy: the oracle of the volume-free model path
-# ---------------------------------------------------------------------------
 
 def _standardized(x: np.ndarray, eps: float) -> np.ndarray:
     """Mean-free descriptors along the last axis, divided by population std + eps."""
@@ -109,6 +131,96 @@ def build_channel_volume(channel_desc, frame: int, eps: float = 1e-5):
         return None
     nd = _standardized(desc.reshape(t_len, c, h_l * w_l), eps)
     return _volume_for_frame(nd, frame).reshape((t_len - 1) * c, c, 1, 1)
+
+
+# ---------------------------------------------------------------------------
+# the other references, each by its definition, one element at a time
+# ---------------------------------------------------------------------------
+
+def matmul_loops(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Matrix product of 2-D arrays by the triple loop, in float64."""
+    out = np.zeros((a.shape[0], b.shape[1]))
+    for i in range(a.shape[0]):
+        for j in range(b.shape[1]):
+            for k in range(a.shape[1]):
+                out[i, j] += a[i, k] * b[k, j]
+    return out
+
+
+def conv2d_loops(x, w, b, stride: int, padding: int) -> np.ndarray:
+    """Cross-correlation by its definition, one output element at a time, in float64."""
+    n, _, h, wd = x.shape
+    c_out, _, kh, kw = w.shape
+    xp = np.pad(np.asarray(x, np.float64), ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    oh, ow = (h + 2 * padding - kh) // stride + 1, (wd + 2 * padding - kw) // stride + 1
+    out = np.zeros((n, c_out, oh, ow))
+    for i in range(n):
+        for co in range(c_out):
+            for r in range(oh):
+                for c in range(ow):
+                    window = xp[i, :, r * stride:r * stride + kh, c * stride:c * stride + kw]
+                    out[i, co, r, c] = (window * w[co]).sum() + (0.0 if b is None else b[co])
+    return out
+
+
+def pool_loops(x: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
+    """Adaptive average pooling by its bin definition, in float64."""
+    n, c, h, w = x.shape
+    out = np.zeros((n, c, out_h, out_w))
+    for i in range(out_h):
+        for j in range(out_w):
+            hs, he = (i * h) // out_h, -(-(i + 1) * h // out_h)
+            ws, we = (j * w) // out_w, -(-(j + 1) * w // out_w)
+            out[:, :, i, j] = x[:, :, hs:he, ws:we].mean(axis=(2, 3))
+    return out
+
+
+def rank_loops(dist, qid, gid, qcam, gcam, max_rank: int):
+    """CMC and mAP by sorting each query's gallery on (distance, index), with
+    entries of the query's identity and camera dropped.  Queries left without
+    a match are skipped; returns (cmc, mAP), or None when every query is."""
+    cmc = np.zeros(max_rank)
+    aps = []
+    for i in range(dist.shape[0]):
+        entries = sorted(range(dist.shape[1]), key=lambda j: (dist[i, j], j))
+        kept = [j for j in entries if not (gid[j] == qid[i] and gcam[j] == qcam[i])]
+        rel = [gid[j] == qid[i] for j in kept]
+        if not any(rel):
+            continue
+        first = rel.index(True)
+        for kk in range(first, max_rank):
+            cmc[kk] += 1
+        hits, ap = 0, 0.0
+        for rank, is_rel in enumerate(rel, start=1):
+            if is_rel:
+                hits += 1
+                ap += hits / rank
+        aps.append(ap / hits)
+    if not aps:
+        return None
+    return cmc / len(aps), float(np.mean(aps))
+
+
+def ranking_instance(rng: np.random.Generator, q: int, g: int):
+    """A random (dist, qid, gid, qcam, gcam) with distance ties: queries on
+    camera 0, gallery on camera 1, the query identities first in the gallery."""
+    dist = np.round(rng.random((q, g)), 2)
+    qid = rng.integers(0, max(2, q // 2 + 1), q)
+    gid = np.concatenate([qid, rng.integers(0, max(2, q // 2 + 1), max(0, g - q))])[:g]
+    return dist, qid, gid, np.zeros(q, dtype=int), np.ones(g, dtype=int)
+
+
+def batch_hard_triplet_loops(features, labels, margin: float) -> float:
+    """Batch-hard triplet loss: per anchor, the largest positive and the smallest
+    negative distance found by exhaustive search, hinged at ``margin``."""
+    d = pairwise_distances(features)
+    n = len(labels)
+    per_anchor = []
+    for a in range(n):
+        pos = max(d[a, j] for j in range(n) if labels[j] == labels[a])
+        neg = min(d[a, j] for j in range(n) if labels[j] != labels[a])
+        per_anchor.append(max(0.0, margin + pos - neg))
+    return float(np.mean(per_anchor))
 
 
 # ---------------------------------------------------------------------------
@@ -224,14 +336,12 @@ def _composite_gradients() -> list[PropertyResult]:
 
 
 def _ncc_properties() -> list[PropertyResult]:
+    """Self-checks of the oracle ``ncc``: exact symmetry, affine invariance, and
+    |ncc| <= 1 (1.001 with eps) including constant descriptors."""
     rng = np.random.default_rng(31)
     results = []
 
-    sym = 0.0
-    for _ in range(200):
-        p = rng.standard_normal(16)
-        q = rng.standard_normal(16)
-        sym = max(sym, abs(ncc(p, q) - ncc(q, p)))
+    sym = max(abs(ncc(p, q) - ncc(q, p)) for p, q in rng.standard_normal((300, 2, 16)))
     results.append(PropertyResult("ncc/symmetry_exact", sym == 0.0, sym, 0.0))
 
     worst = 0.0
@@ -243,22 +353,31 @@ def _ncc_properties() -> list[PropertyResult]:
     results.append(PropertyResult("ncc/affine_invariance", worst <= 1e-3, worst, 1e-3))
 
     bound = 0.0
-    for _ in range(500):
-        p = rng.standard_normal(8) * rng.uniform(0.1, 3.0)
-        q = rng.standard_normal(8) * rng.uniform(0.1, 3.0)
-        bound = max(bound, abs(ncc(p, q)))
-    bound = max(bound, abs(ncc(np.full(8, 2.0), rng.standard_normal(8))))
-    bound = max(bound, abs(ncc(np.full(8, 2.0), np.full(8, -1.0))))
+    for d in (8, 12):
+        for _ in range(500):
+            p = rng.standard_normal(d) * rng.uniform(0.1, 3.0)
+            q = rng.standard_normal(d) * rng.uniform(0.1, 3.0)
+            bound = max(bound, abs(ncc(p, q)))
+        bound = max(bound, abs(ncc(np.full(d, 2.0), rng.standard_normal(d))),
+                    abs(ncc(np.full(d, 2.0), np.full(d, -1.0))))
     results.append(PropertyResult("ncc/bounds", bound <= 1.001, bound, 1.001))
     return results
 
 
+# (H, W, C_L) of the spatial volume sweep, each at T = 2 and 3: square, tall,
+# wide and odd maps up to 4x4, descriptor lengths 2-8
+_SPATIAL_VOLUME_SHAPES = ((2, 2, 2), (2, 2, 4), (2, 2, 8), (2, 3, 2), (2, 3, 8), (2, 4, 2),
+                          (2, 4, 8), (3, 2, 2), (3, 2, 4), (3, 2, 8), (4, 2, 2), (4, 2, 8),
+                          (4, 3, 2), (4, 3, 4), (4, 3, 8), (4, 4, 2), (4, 4, 4), (4, 4, 8))
+
+
 def _volume_oracles() -> list[PropertyResult]:
+    """The vectorized volumes against ``ncc``, one volume entry at a time."""
     rng = np.random.default_rng(41)
     worst_s = 0.0
     for t_len in (2, 3):
-        for h, w in ((2, 2), (4, 3), (4, 4)):
-            desc = rng.standard_normal((t_len, 4, h, w))
+        for h, w, c_l in _SPATIAL_VOLUME_SHAPES:
+            desc = rng.standard_normal((t_len, c_l, h, w))
             for t in range(t_len):
                 vol = build_spatial_volume(desc, t)
                 slot = 0
@@ -267,7 +386,7 @@ def _volume_oracles() -> list[PropertyResult]:
                         for ww in range(w):
                             for i in range(h):
                                 for j in range(w):
-                                    ref = _naive_ncc(desc[t, :, i, j], desc[k, :, hh, ww])
+                                    ref = ncc(desc[t, :, i, j], desc[k, :, hh, ww])
                                     worst_s = max(worst_s, abs(vol[slot, i, j] - ref))
                             slot += 1
     worst_c = 0.0
@@ -280,11 +399,13 @@ def _volume_oracles() -> list[PropertyResult]:
                 for k in [k for k in range(t_len) if k != t]:
                     for cp in range(c):
                         for cc in range(c):
-                            ref = _naive_ncc(desc[t, cc].ravel(), desc[k, cp].ravel())
+                            ref = ncc(desc[t, cc].ravel(), desc[k, cp].ravel())
                             worst_c = max(worst_c, abs(vol[slot, cc, 0, 0] - ref))
                         slot += 1
-    return [PropertyResult("oracle/spatial_volume", worst_s <= 1e-10, worst_s, 1e-10),
-            PropertyResult("oracle/channel_volume", worst_c <= 1e-10, worst_c, 1e-10)]
+    return [PropertyResult("oracle/spatial_volume", worst_s <= 1e-10, worst_s, 1e-10,
+                           detail=f"T 2-3, {len(_SPATIAL_VOLUME_SHAPES)} (H, W, C_L) shapes"),
+            PropertyResult("oracle/channel_volume", worst_c <= 1e-10, worst_c, 1e-10,
+                           detail="T 2-3, C 3 and 8")]
 
 
 def materialized_attention(csl: CoSaliencyLearning, f: Tensor) -> tuple[np.ndarray, np.ndarray]:
@@ -357,36 +478,13 @@ def _attention_invariants() -> list[PropertyResult]:
 
 
 def _metric_oracles() -> list[PropertyResult]:
+    """CMC and mAP against ``rank_loops``: 100 small instances with random
+    cameras (where some queries have no valid match), one cross-camera
+    instance of every size Q <= 8, G <= 12, and 100 larger ones up to Q = 15,
+    G = 39."""
     rng = np.random.default_rng(61)
-
-    def oracle(dist, qid, gid, qcam, gcam, max_rank):
-        cmc = np.zeros(max_rank)
-        aps = []
-        valid = 0
-        for i in range(dist.shape[0]):
-            entries = sorted(range(dist.shape[1]), key=lambda j: (dist[i, j], j))
-            kept = [j for j in entries if not (gid[j] == qid[i] and gcam[j] == qcam[i])]
-            rel = [gid[j] == qid[i] for j in kept]
-            if not any(rel):
-                continue
-            valid += 1
-            first = rel.index(True)
-            for kk in range(first, max_rank):
-                cmc[kk] += 1
-            hits, ap = 0, 0.0
-            for rank, is_rel in enumerate(rel, start=1):
-                if is_rel:
-                    hits += 1
-                    ap += hits / rank
-            aps.append(ap / hits)
-        if not valid:
-            return None
-        return cmc / valid, float(np.mean(aps))
-
-    worst_cmc, worst_map = 0.0, 0.0
-    mono_ok = True
-    trials, skipped, disagreements = 100, 0, 0
-    for trial in range(trials):
+    instances = []
+    for _ in range(100):
         q = int(rng.integers(1, 7))
         g = int(rng.integers(2, 11))
         dist = np.round(rng.random((q, g)), 2)      # rounding forces ties
@@ -394,11 +492,20 @@ def _metric_oracles() -> list[PropertyResult]:
         gid = np.concatenate([qid, rng.integers(0, 3, max(0, g - q))])[:g]
         qcam = rng.integers(0, 2, q)
         gcam = 1 - np.concatenate([qcam, rng.integers(0, 2, max(0, g - q))])[:g]
-        max_rank = g
-        ref = oracle(dist, qid, gid, qcam, gcam, max_rank)
+        instances.append((dist, qid, gid, qcam, gcam))
+    instances += [ranking_instance(rng, q, g) for q in range(1, 9) for g in range(2, 13)]
+    for _ in range(100):
+        instances.append(ranking_instance(rng, int(rng.integers(4, 16)), int(rng.integers(8, 40))))
+
+    worst_cmc, worst_map = 0.0, 0.0
+    mono_ok = True
+    skipped, disagreements = 0, 0
+    for instance in instances:
+        max_rank = instance[0].shape[1]
+        ref = rank_loops(*instance, max_rank)
         try:
-            got_cmc = compute_cmc(dist, qid, gid, qcam, gcam, max_rank)
-            got_map = compute_map(dist, qid, gid, qcam, gcam)
+            got_cmc = compute_cmc(*instance, max_rank)
+            got_map = compute_map(*instance)
         except ContractError:       # documented: no query has a valid cross-camera match
             skipped += 1
             disagreements += ref is not None
@@ -410,8 +517,9 @@ def _metric_oracles() -> list[PropertyResult]:
         worst_cmc = max(worst_cmc, abs(got_cmc - ref_cmc).max())
         worst_map = max(worst_map, abs(got_map - ref_map))
         mono_ok = mono_ok and bool((np.diff(got_cmc) >= -1e-15).all())
-    checked = skipped < trials and disagreements == 0
-    detail = f"{skipped}/{trials} skipped (no valid match), {disagreements} disagree with oracle"
+    checked = skipped < len(instances) and disagreements == 0
+    detail = (f"{len(instances)} instances, {skipped} skipped (no valid match), "
+              f"{disagreements} disagree with oracle")
     return [PropertyResult("oracle/cmc_exact", checked and worst_cmc == 0.0, worst_cmc, 0.0,
                            detail=detail),
             PropertyResult("oracle/map", checked and worst_map <= 1e-9, worst_map, 1e-9,
@@ -424,34 +532,6 @@ def _metric_oracles() -> list[PropertyResult]:
 _CONV_CASES = (("k3_s1", 3, 1, 1, False), ("k3_s2", 3, 2, 1, False),
               ("k1_s1_bias", 1, 1, 0, True), ("k1_s2", 1, 2, 0, False))
 _CONV_TOL = {np.float64: 1e-10, np.float32: 1e-5}    # max abs error; outputs are O(1)-O(10)
-
-
-def _conv2d_loops(x, w, b, stride: int, padding: int) -> np.ndarray:
-    """Cross-correlation by its definition, one output element at a time, in float64."""
-    n, _, h, wd = x.shape
-    c_out, _, kh, kw = w.shape
-    xp = np.pad(np.asarray(x, np.float64), ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    oh, ow = (h + 2 * padding - kh) // stride + 1, (wd + 2 * padding - kw) // stride + 1
-    out = np.zeros((n, c_out, oh, ow))
-    for i in range(n):
-        for co in range(c_out):
-            for r in range(oh):
-                for c in range(ow):
-                    window = xp[i, :, r * stride:r * stride + kh, c * stride:c * stride + kw]
-                    out[i, co, r, c] = (window * w[co]).sum() + (0.0 if b is None else b[co])
-    return out
-
-
-def _pool_loops(x: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Adaptive average pooling by its bin definition, in float64."""
-    n, c, h, w = x.shape
-    out = np.zeros((n, c, out_h, out_w))
-    for i in range(out_h):
-        for j in range(out_w):
-            hs, he = (i * h) // out_h, -(-(i + 1) * h // out_h)
-            ws, we = (j * w) // out_w, -(-(j + 1) * w // out_w)
-            out[:, :, i, j] = x[:, :, hs:he, ws:we].mean(axis=(2, 3))
-    return out
 
 
 def _batch_norm_reference(x, gamma, beta, running_mean, running_var, training: bool,
@@ -498,7 +578,7 @@ def _conv2d_oracle(rng) -> list[PropertyResult]:
         x = rng.standard_normal((2, 3, 7, 5))
         w = rng.standard_normal((4, 3, k, k))
         b = rng.standard_normal(4) if with_bias else None
-        ref = _conv2d_loops(x, w, b, stride, padding)
+        ref = conv2d_loops(x, w, b, stride, padding)
         for dtype in worst:
             got = T.conv2d(Tensor(x.astype(dtype)), Tensor(w.astype(dtype)),
                            None if b is None else Tensor(b.astype(dtype)),
@@ -522,7 +602,7 @@ def _pool_oracle(rng) -> list[PropertyResult]:
                           ((2, 3, 4, 2), (1, 1))):
         x = rng.standard_normal(shape)
         err = max(err, abs(T.adaptive_avg_pool2d(Tensor(x), *out_hw).data
-                           - _pool_loops(x, *out_hw)).max())
+                           - pool_loops(x, *out_hw)).max())
     return [PropertyResult("oracle/adaptive_pool_bins", err <= 1e-12, err, 1e-12,
                            detail="divisible and non-divisible bins")]
 
@@ -558,12 +638,7 @@ def _loss_and_misc_oracles() -> list[PropertyResult]:
 
     # matmul vs triple loop
     a, b = rng.standard_normal((3, 3)), rng.standard_normal((3, 3))
-    ref = np.zeros((3, 3))
-    for i in range(3):
-        for j in range(3):
-            for k in range(3):
-                ref[i, j] += a[i, k] * b[k, j]
-    err = abs(T.matmul(Tensor(a), Tensor(b)).data - ref).max()
+    err = abs(T.matmul(Tensor(a), Tensor(b)).data - matmul_loops(a, b)).max()
     results.append(PropertyResult("oracle/matmul_loops", err <= 1e-12, err, 1e-12))
 
     # softmax vs direct exp-normalize
@@ -577,13 +652,7 @@ def _loss_and_misc_oracles() -> list[PropertyResult]:
     feats = rng.standard_normal((8, 4))
     labels = np.array([0, 0, 1, 1, 2, 2, 3, 3])
     got = float(batch_hard_triplet(Tensor(feats), labels, 0.3).data)
-    d = pairwise_distances(feats)
-    per_anchor = []
-    for i in range(8):
-        pos = max(d[i, j] for j in range(8) if labels[j] == labels[i])
-        neg = min(d[i, j] for j in range(8) if labels[j] != labels[i])
-        per_anchor.append(max(0.0, 0.3 + pos - neg))
-    err = abs(got - float(np.mean(per_anchor)))
+    err = abs(got - batch_hard_triplet_loops(feats, labels, 0.3))
     results.append(PropertyResult("oracle/batch_hard_triplet", err <= 1e-9, err, 1e-9))
 
     # label-smoothed CE vs direct formula

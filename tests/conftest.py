@@ -1,13 +1,10 @@
-import contextlib
-import io
 import time
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from cstnet.cli import main
-from cstnet.verify import run_gradcheck_suite
+from cstnet.verify import run_verification
 
 settings.register_profile(
     "ci", max_examples=30, deadline=None,
@@ -22,24 +19,12 @@ def rng():
 
 
 @pytest.fixture(scope="session")
-def gradcheck_run():
-    """One run of the finite-difference suite, shared by the tests that only
-    read its results: (results, seconds the run took)."""
+def verify_run():
+    """One clean ``run_verification``, shared by the tests that only read its
+    results: ({property name: result}, seconds the run took)."""
     started = time.perf_counter()
-    results = run_gradcheck_suite()
-    return results, time.perf_counter() - started
-
-
-@pytest.fixture(scope="session")
-def sign_flip_verify_run():
-    """One ``cstnet verify --inject-fault ncc-sign-flip`` run, shared by the
-    tests that read it: (exit code, {property name: "PASS" or "FAIL"})."""
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = main(["verify", "--inject-fault", "ncc-sign-flip"])
-    status = {}
-    for line in out.getvalue().splitlines():
-        if line.startswith(("PASS  ", "FAIL  ")):
-            verdict, name = line.split()[:2]
-            status[name] = verdict
-    return code, status
+    results = run_verification()
+    elapsed = time.perf_counter() - started
+    by_name = {r.name: r for r in results}
+    assert len(by_name) == len(results), "property names must be unique"
+    return by_name, elapsed

@@ -1,4 +1,5 @@
-"""Co-saliency learning: NCC properties, volume oracles, attention contracts."""
+"""Co-saliency learning: the NCC and volume oracles' own contracts, attention
+contracts, and the model's volume-free logits against the oracle."""
 
 import numpy as np
 import pytest
@@ -6,19 +7,12 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from cstnet import faults
-from cstnet.csl import CoSaliencyLearning, CslConfig, apply_cosaliency, ncc
+from cstnet.csl import CoSaliencyLearning, CslConfig, apply_cosaliency
 from cstnet.errors import ConfigError, ContractError, DimensionError
 from cstnet.gradcheck import max_gradcheck_error
 from cstnet.tensor import Tensor, constant, mul, no_grad, tsum
-from cstnet.verify import build_channel_volume, build_spatial_volume, materialized_attention
-
-
-def naive_ncc(p, q, eps=1e-5):
-    """Independent reference: direct mean/std formula."""
-    p = np.asarray(p, float)
-    q = np.asarray(q, float)
-    pc, qc = p - p.mean(), q - q.mean()
-    return float((pc * qc).sum() / p.size / ((pc.std() + eps) * (qc.std() + eps)))
+from cstnet.verify import (build_channel_volume, build_spatial_volume, materialized_attention,
+                           ncc)
 
 
 descriptors = st.lists(st.floats(-10, 10), min_size=3, max_size=16)
@@ -38,10 +32,10 @@ class TestNcc:
         value = ncc(np.full(4, 2.0), np.array([1.0, 2.0, 3.0, 4.0]))
         assert value == 0.0
 
-    def test_matches_direct_formula(self, rng):
-        for _ in range(50):
-            p, q = rng.standard_normal(8), rng.standard_normal(8)
-            assert abs(ncc(p, q) - naive_ncc(p, q)) < 1e-12
+    def test_matches_direct_formula(self):
+        # p = (1, 0, 0, 0), q = (1, 1, 0, 0): covariance 1/8, stds sqrt(3)/4 and 1/2
+        assert abs(ncc((1.0, 0.0, 0.0, 0.0), (1.0, 1.0, 0.0, 0.0)) - 3 ** -0.5) < 1e-4
+        assert ncc((0.0, 0.0, 1.0, 1.0), (0.0, 1.0, 0.0, 1.0)) == 0.0
 
     @given(descriptors, descriptors.filter(lambda v: len(v) >= 3))
     def test_symmetry_exact(self, p, q):
@@ -85,25 +79,6 @@ class TestSpatialVolume:
                         slot = co * 6 + h * 2 + w
                         assert abs(vol[slot, h, w] - 1.0) < 1e-3
 
-    def test_quadruple_loop_oracle(self, rng):
-        worst = 0.0
-        for t_len in (2, 3):
-            for h, w in ((2, 2), (3, 2), (4, 4)):
-                for c_l in (2, 4, 8):
-                    desc = rng.standard_normal((t_len, c_l, h, w))
-                    for t in range(t_len):
-                        vol = build_spatial_volume(desc, t)
-                        slot = 0
-                        for k in [k for k in range(t_len) if k != t]:
-                            for hh in range(h):
-                                for ww in range(w):
-                                    for i in range(h):
-                                        for j in range(w):
-                                            ref = naive_ncc(desc[t, :, i, j], desc[k, :, hh, ww])
-                                            worst = max(worst, abs(vol[slot, i, j] - ref))
-                                    slot += 1
-        assert worst < 1e-10, worst
-
     def test_single_frame_marker(self, rng):
         assert build_spatial_volume(rng.standard_normal((1, 4, 3, 2)), 0) is None
 
@@ -132,22 +107,6 @@ class TestChannelVolume:
         for co in range(2):
             for c in range(5):
                 assert abs(vol[co * 5 + c, c, 0, 0] - 1.0) < 1e-3
-
-    def test_loop_oracle(self, rng):
-        worst = 0.0
-        for t_len in (2, 3):
-            for c in (3, 8):
-                desc = rng.standard_normal((t_len, c, 2, 2))
-                for t in range(t_len):
-                    vol = build_channel_volume(desc, t)
-                    slot = 0
-                    for k in [k for k in range(t_len) if k != t]:
-                        for cp in range(c):
-                            for cc in range(c):
-                                ref = naive_ncc(desc[t, cc].ravel(), desc[k, cp].ravel())
-                                worst = max(worst, abs(vol[slot, cc, 0, 0] - ref))
-                            slot += 1
-        assert worst < 1e-10, worst
 
     def test_single_frame_marker(self, rng):
         assert build_channel_volume(rng.standard_normal((1, 4, 2, 2)), 0) is None
@@ -251,19 +210,6 @@ class TestApply:
             apply_cosaliency(Tensor(rng.standard_normal((1, 3, 8, 2, 2))), att)
 
 
-class TestGradients:
-    def test_full_csl_gradient_check(self, rng):
-        cfg = CslConfig(c_in=8, c_l=4, h_l=2, w_l=2)
-        mod = CoSaliencyLearning(cfg, clip_len=3, feat_h=4, feat_w=4,
-                                 rng=rng, dtype=np.float64)
-        x = Tensor(rng.standard_normal((1, 3, 8, 4, 4)), requires_grad=True)
-        proj = rng.standard_normal((1, 3, 8, 4, 4))
-        err = max_gradcheck_error(lambda: tsum(mul(mod(x), constant(proj))),
-                                  [x] + mod.parameters(), coords_per_leaf=6,
-                                  rng=np.random.default_rng(0))
-        assert err <= 1e-4, f"max relative error {err:.3e}"
-
-
 class TestFusedLogits:
     """The volume-free logits of ``attention`` against the materialized volumes."""
 
@@ -310,13 +256,13 @@ class TestFusedLogits:
 
 
 class TestFaultInjection:
-    def test_sign_flip_breaks_affine_invariance_not_symmetry(self, rng):
-        p = rng.standard_normal(8)
-        q = rng.standard_normal(8)
+    def test_sign_flip_leaves_the_ncc_oracle_untouched(self, rng):
+        # the fault lives on the model's path; the oracle that catches it must not move
+        p, q = rng.standard_normal(8), rng.standard_normal(8)
+        clean = ncc(p, q)
         with faults.injected("ncc-sign-flip"):
-            assert ncc(p, q) == ncc(q, p)                   # symmetry survives
-            assert abs(ncc(p, 2.0 * p + 0.5) - 1.0) > 0.5   # invariance broken
-        assert abs(ncc(p, 2.0 * p + 0.5) - 1.0) <= 1e-3     # restored afterwards
+            assert ncc(p, q) == clean
+            assert abs(ncc(p, 2.0 * p + 0.5) - 1.0) <= 1e-3
 
     def test_unknown_fault_rejected(self):
         with pytest.raises(ValueError):

@@ -9,37 +9,7 @@ from cstnet.data import SequenceRecord, VideoDataset
 from cstnet.errors import ContractError
 from cstnet.metrics import (RankingMetrics, compute_cmc, compute_map, evaluate,
                             evenly_spaced_indices, ranking_metrics)
-
-
-def oracle_rank(dist, qid, gid, qcam, gcam, max_rank):
-    """Exhaustive-sort reference for CMC and mAP with the same exclusion rule."""
-    cmc = np.zeros(max_rank)
-    aps = []
-    for i in range(dist.shape[0]):
-        order = sorted(range(dist.shape[1]), key=lambda j: (dist[i, j], j))
-        kept = [j for j in order if not (gid[j] == qid[i] and gcam[j] == qcam[i])]
-        rel = [gid[j] == qid[i] for j in kept]
-        if not any(rel):
-            continue
-        first = rel.index(True)
-        for k in range(first, max_rank):
-            cmc[k] += 1
-        hits, ap = 0, 0.0
-        for rank, is_rel in enumerate(rel, start=1):
-            if is_rel:
-                hits += 1
-                ap += hits / rank
-        aps.append(ap / hits)
-    return cmc / len(aps), float(np.mean(aps))
-
-
-def random_instance(r, q, g):
-    dist = np.round(r.random((q, g)), 2)          # rounded -> distance ties occur
-    qid = r.integers(0, max(2, q // 2 + 1), q)
-    gid = np.concatenate([qid, r.integers(0, max(2, q // 2 + 1), max(0, g - q))])[:g]
-    qcam = np.zeros(q, dtype=int)
-    gcam = np.ones(g, dtype=int)
-    return dist, qid, gid, qcam, gcam
+from cstnet.verify import rank_loops, ranking_instance
 
 
 class TestCmc:
@@ -68,24 +38,24 @@ class TestCmc:
     def test_hundred_random_instances_exact(self):
         r = np.random.default_rng(0)
         for _ in range(100):
-            dist, qid, gid, qcam, gcam = random_instance(r, 6, 10)
+            dist, qid, gid, qcam, gcam = ranking_instance(r, 6, 10)
             got = compute_cmc(dist, qid, gid, qcam, gcam, 10)
-            ref, _ = oracle_rank(dist, qid, gid, qcam, gcam, 10)
+            ref, _ = rank_loops(dist, qid, gid, qcam, gcam, 10)
             assert np.array_equal(got, ref)
 
     def test_exhaustive_small_instances(self):
         r = np.random.default_rng(7)
         for q in range(1, 9):
             for g in range(2, 13, 2):
-                dist, qid, gid, qcam, gcam = random_instance(r, q, g)
+                dist, qid, gid, qcam, gcam = ranking_instance(r, q, g)
                 got = compute_cmc(dist, qid, gid, qcam, gcam, g)
-                ref, _ = oracle_rank(dist, qid, gid, qcam, gcam, g)
+                ref, _ = rank_loops(dist, qid, gid, qcam, gcam, g)
                 assert np.array_equal(got, ref)
 
     @given(st.integers(1, 6), st.integers(2, 10), st.integers(0, 10_000))
     def test_monotone_non_decreasing(self, q, g, seed):
         r = np.random.default_rng(seed)
-        dist, qid, gid, qcam, gcam = random_instance(r, q, g)
+        dist, qid, gid, qcam, gcam = ranking_instance(r, q, g)
         cmc = compute_cmc(dist, qid, gid, qcam, gcam, g)
         assert (np.diff(cmc) >= 0).all()
         assert (cmc >= 0).all() and (cmc <= 1).all()
@@ -109,25 +79,25 @@ class TestMap:
     def test_hundred_random_instances(self):
         r = np.random.default_rng(1)
         for _ in range(100):
-            dist, qid, gid, qcam, gcam = random_instance(r, 6, 10)
+            dist, qid, gid, qcam, gcam = ranking_instance(r, 6, 10)
             got = compute_map(dist, qid, gid, qcam, gcam)
-            _, ref = oracle_rank(dist, qid, gid, qcam, gcam, 10)
+            _, ref = rank_loops(dist, qid, gid, qcam, gcam, 10)
             assert abs(got - ref) < 1e-9
 
     def test_larger_random_instances(self):
         r = np.random.default_rng(2)
         for _ in range(100):
             q, g = int(r.integers(4, 12)), int(r.integers(8, 30))
-            dist, qid, gid, qcam, gcam = random_instance(r, q, g)
+            dist, qid, gid, qcam, gcam = ranking_instance(r, q, g)
             got = compute_map(dist, qid, gid, qcam, gcam)
-            _, ref = oracle_rank(dist, qid, gid, qcam, gcam, g)
+            _, ref = rank_loops(dist, qid, gid, qcam, gcam, g)
             assert abs(got - ref) < 1e-9
 
     @given(st.integers(1, 5), st.integers(2, 8), st.floats(0.01, 100.0),
            st.integers(0, 10_000))
     def test_scale_invariance_of_ranking(self, q, g, factor, seed):
         r = np.random.default_rng(seed)
-        dist, qid, gid, qcam, gcam = random_instance(r, q, g)
+        dist, qid, gid, qcam, gcam = ranking_instance(r, q, g)
         a_cmc = compute_cmc(dist, qid, gid, qcam, gcam, g)
         b_cmc = compute_cmc(dist * factor, qid, gid, qcam, gcam, g)
         assert np.array_equal(a_cmc, b_cmc)

@@ -192,14 +192,3 @@ class TestForward:
         block = SpatialTemporalInteraction(cfg, rng=rng, dtype=np.float64)
         with pytest.raises(ConfigError):
             block(Tensor(rng.standard_normal((1, 2, 4, 4, 4))))
-
-    def test_end_to_end_gradient_check(self, rng):
-        block = SpatialTemporalInteraction(StiConfig(c_in=8, c_1=4, h_1=2, w_1=2),
-                                           rng=rng, dtype=np.float64)
-        randomized(block, rng)
-        x = Tensor(rng.standard_normal((1, 2, 8, 4, 4)), requires_grad=True)
-        proj = rng.standard_normal((1, 2, 8, 4, 4))
-        err = max_gradcheck_error(lambda: tsum(mul(block(x), constant(proj))),
-                                  [x] + block.parameters(), coords_per_leaf=6,
-                                  rng=np.random.default_rng(1))
-        assert err <= 1e-4, f"max relative error {err:.3e}"

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from cstnet import tensor as T
 from cstnet.errors import ContractError, DimensionError, NumericError
 from cstnet.tensor import Tensor
+from cstnet.verify import conv2d_loops, matmul_loops, pool_loops
 
 
 class TestMatmul:
@@ -22,12 +23,7 @@ class TestMatmul:
 
     def test_triple_loop_oracle(self, rng):
         a, b = rng.standard_normal((3, 3)), rng.standard_normal((3, 3))
-        ref = np.zeros((3, 3))
-        for i in range(3):
-            for j in range(3):
-                for k in range(3):
-                    ref[i, j] += a[i, k] * b[k, j]
-        assert np.abs(T.matmul(Tensor(a), Tensor(b)).data - ref).max() < 1e-12
+        assert np.abs(T.matmul(Tensor(a), Tensor(b)).data - matmul_loops(a, b)).max() < 1e-12
 
     def test_shape_mismatch_names_both_shapes(self):
         with pytest.raises(DimensionError, match=r"\(2, 3\).*\(4, 5\)"):
@@ -96,19 +92,11 @@ class TestConv2d:
         for k, stride, padding, with_bias in cases:
             x = rng.standard_normal((2, 3, 7, 5))
             w = rng.standard_normal((4, 3, k, k))
-            b = rng.standard_normal(4) if with_bias else np.zeros(4)
-            xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-            oh, ow = (7 + 2 * padding - k) // stride + 1, (5 + 2 * padding - k) // stride + 1
-            ref = np.zeros((2, 4, oh, ow))
-            for n in range(2):
-                for co in range(4):
-                    for i in range(oh):
-                        for j in range(ow):
-                            window = xp[n, :, i * stride:i * stride + k, j * stride:j * stride + k]
-                            ref[n, co, i, j] = (window * w[co]).sum() + b[co]
+            b = rng.standard_normal(4) if with_bias else None
+            ref = conv2d_loops(x, w, b, stride, padding)
             for dtype, tol in ((np.float64, 1e-10), (np.float32, 1e-5)):
                 got = T.conv2d(Tensor(x.astype(dtype)), Tensor(w.astype(dtype)),
-                               Tensor(b.astype(dtype)) if with_bias else None,
+                               None if b is None else Tensor(b.astype(dtype)),
                                stride=stride, padding=padding).data
                 assert got.dtype == dtype and got.shape == ref.shape
                 assert got.flags.c_contiguous
@@ -145,11 +133,7 @@ class TestAdaptiveAvgPool:
     def test_uneven_bins_match_definition(self, rng):
         x = rng.standard_normal((1, 1, 5, 3))
         out = T.adaptive_avg_pool2d(Tensor(x), 3, 2).data
-        for i in range(3):
-            for j in range(2):
-                hs, he = (i * 5) // 3, -((-(i + 1) * 5) // 3)
-                ws, we = (j * 3) // 2, -((-(j + 1) * 3) // 2)
-                assert abs(out[0, 0, i, j] - x[0, 0, hs:he, ws:we].mean()) < 1e-12
+        assert np.abs(out - pool_loops(x, 3, 2)).max() < 1e-12
 
     def test_global_pool_equals_mean(self, rng):
         x = rng.standard_normal((2, 3, 4, 5))
@@ -165,14 +149,13 @@ class TestAdaptiveAvgPool:
             g = rng.standard_normal((n, c, oh, ow))
             out = T.adaptive_avg_pool2d(x, oh, ow)
             T.tsum(T.mul(out, T.constant(g))).backward()
-            ref, dref = np.zeros((n, c, oh, ow)), np.zeros(shape)
+            dref = np.zeros(shape)
             for i in range(oh):
                 for j in range(ow):
                     hs, he = (i * h) // oh, -((-(i + 1) * h) // oh)
                     ws, we = (j * w) // ow, -((-(j + 1) * w) // ow)
-                    ref[:, :, i, j] = x.data[:, :, hs:he, ws:we].mean(axis=(2, 3))
                     dref[:, :, hs:he, ws:we] += g[:, :, i:i + 1, j:j + 1] / ((he - hs) * (we - ws))
-            assert np.abs(out.data - ref).max() < 1e-12
+            assert np.abs(out.data - pool_loops(x.data, oh, ow)).max() < 1e-12
             assert np.abs(x.grad - dref).max() < 1e-12
 
     def test_zero_extent_rejected(self):
