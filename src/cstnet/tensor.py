@@ -14,14 +14,16 @@ against central finite differences (see ``gradcheck``).  Activations are
 contiguous NCHW.  The layer kernels pick the memory order numpy is fast in:
 a 1x1 convolution is a channel matmul on (N, C, H*W); any other convolution
 is im2col from an NHWC-padded copy, so each column fills from contiguous
-(kw, C) runs, and one GEMM; batch norm works on the (N, C*H*W) view; adaptive
-pooling is one matmul with a bin-averaging matrix for every bin layout.
+(kw, C) runs, and one GEMM, and its input gradient is added back tap by tap;
+batch norm works on the (N, C*H*W) view; adaptive pooling is one matmul with
+a cached, read-only bin-averaging matrix for every bin layout.
 Graphs are single-threaded: one forward+backward pass owns its graph exclusively.
 Tensors without gradient state are immutable by convention and safe to share.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Callable, Optional, Sequence
 
@@ -308,12 +310,10 @@ def relu(a: Tensor) -> Tensor:
 
 
 def sigmoid(a: Tensor) -> Tensor:
+    # 1 / (1 + exp(-x)) for x >= 0 and exp(x) / (1 + exp(x)) below: exp never overflows
     x = a.data
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    e = np.exp(-np.abs(x))
+    out = np.where(x >= 0, 1, e) / (1 + e)
 
     def bw(g, saved):
         y = saved[0]
@@ -585,16 +585,20 @@ def _im2col(x: np.ndarray, kh: int, kw: int, s: int, p: int, oh: int, ow: int) -
     return win[:, ::s, ::s].transpose(0, 1, 2, 4, 5, 3).reshape(n * oh * ow, kh * kw * c)
 
 
-def _col2im(dcols: np.ndarray, shape: tuple, kh: int, kw: int, s: int, p: int) -> np.ndarray:
-    """Adjoint of ``_im2col`` for tap-major (kh*kw, N*OH*OW, C) column gradients:
-    kh*kw strided adds into an NHWC padded buffer, returned as contiguous NCHW."""
+def _col2im(gmat: np.ndarray, taps: np.ndarray, shape: tuple,
+            kh: int, kw: int, s: int, p: int) -> np.ndarray:
+    """Adjoint of ``_im2col`` for the column gradients ``gmat @ taps[t]``.
+
+    Tap by tap, in (kh, kw) order, the (N*OH*OW, C) block ``gmat @ taps[t]``
+    is formed and added strided into an NHWC padded buffer, so one tap's
+    block is alive at a time instead of all kh*kw; returned as contiguous NCHW.
+    """
     n, c, h, w = shape
     oh, ow = (h + 2 * p - kh) // s + 1, (w + 2 * p - kw) // s + 1
-    dxp = np.zeros((n, h + 2 * p, w + 2 * p, c), dtype=dcols.dtype)
+    dxp = np.zeros((n, h + 2 * p, w + 2 * p, c), dtype=gmat.dtype)
     for i in range(kh):
         for j in range(kw):
-            dxp[:, i:i + s * oh:s, j:j + s * ow:s] += dcols[i * kw + j].reshape(n, oh, ow, c)
-    del dcols           # the caller passes a temporary: free it before the NCHW copy
+            dxp[:, i:i + s * oh:s, j:j + s * ow:s] += (gmat @ taps[i * kw + j]).reshape(n, oh, ow, c)
     return np.ascontiguousarray(dxp[:, p:p + h, p:p + w].transpose(0, 3, 1, 2))
 
 
@@ -662,13 +666,21 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
         dw = np.ascontiguousarray(dw)
         dx = None
         if need_dx_:
-            # one (N*OH*OW, C) block per tap, so each col2im add reads a contiguous block
+            # one contiguous (C_out, C_in) matrix per tap, in (kh, kw) order
             taps = w_s.transpose(2, 3, 0, 1).reshape(kh_ * kw_, c_out_, c_in_)
-            dx = _col2im(np.matmul(gmat, taps), shape, kh_, kw_, s_, p_)
+            dx = _col2im(gmat, taps, shape, kh_, kw_, s_, p_)
         return (dx, dw, gmat.sum(axis=0)) if has_bias_ else (dx, dw)
 
     return _result("conv2d", inputs, out, bw_im2col,
                    (cols, weight.data, (x.shape, s, p, need_dx, has_bias)))
+
+
+@functools.lru_cache(maxsize=64)
+def _pool_operator(h: int, w: int, out_h: int, out_w: int, dtype: np.dtype) -> np.ndarray:
+    """Read-only (H*W, out_h*out_w) pooling matrix, built once per layout and dtype."""
+    pool = np.kron(_pool_matrix(h, out_h), _pool_matrix(w, out_w)).astype(dtype)
+    pool.flags.writeable = False
+    return pool
 
 
 def _pool_matrix(extent: int, out: int) -> np.ndarray:
@@ -693,7 +705,7 @@ def adaptive_avg_pool2d(x: Tensor, out_h: int, out_w: int) -> Tensor:
         raise DimensionError(f"adaptive_avg_pool2d: zero output extent ({out_h}, {out_w})")
     if out_h > h or out_w > w:
         raise DimensionError(f"adaptive_avg_pool2d: output ({out_h}, {out_w}) exceeds input ({h}, {w})")
-    pool = np.kron(_pool_matrix(h, out_h), _pool_matrix(w, out_w)).astype(x.data.dtype)
+    pool = _pool_operator(h, w, out_h, out_w, x.data.dtype)
     out = (x.data.reshape(n * c, h * w) @ pool).reshape(n, c, out_h, out_w)
 
     def bw(g, saved):

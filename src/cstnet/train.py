@@ -2,7 +2,9 @@
 
 Every batch emits one structured record (epoch, step, triplet loss, id loss,
 learning rate, wall time).  Wall time is the only volatile field; all other
-fields are bit-reproducible for a fixed seed and config.
+fields are bit-reproducible for a fixed seed and config.  Each step runs in
+its own call (``train_step``), so its autograd graph is freed before the next
+step's forward and the training peak holds one graph, not two.
 """
 
 from __future__ import annotations
@@ -98,40 +100,52 @@ def _describe(batch: PkBatch) -> str:
     return ", ".join(srcs) + more
 
 
+def train_step(model, dataset: VideoDataset, optimizer: Adam, cfg: TrainConfig,
+               epoch: int, step: int, identities, rng: np.random.Generator,
+               fill_mean: np.ndarray) -> BatchRecord:
+    """One optimizer step on a PK batch of ``identities``; returns its record.
+
+    Sample, augment, forward, both losses, the finite check, backward, Adam
+    and the gradient norm.  Every tensor of the step's autograd graph is
+    local to this call, so the graph is freed when it returns, before the
+    next step's forward: training holds one graph at a time.
+    """
+    started = time.perf_counter()
+    lr = lr_at_epoch(cfg.adam, epoch)
+    batch = pk_sample(dataset, cfg.p, cfg.k, model.cfg.clip_len, rng, identities=identities)
+    clips = augment_clips(batch.clips, rng, fill_mean, flip_p=cfg.flip_p, erase_p=cfg.erase_p)
+    features, logits = model(clips)
+    loss_t = batch_hard_triplet(features, batch.labels, cfg.margin)
+    loss_i = label_smooth_ce(logits, batch.labels, cfg.label_smoothing)
+    loss = add(loss_t, loss_i)
+    if not np.isfinite(loss.data).all():
+        raise NumericError(f"non-finite loss at epoch {epoch} step {step}; "
+                           f"batch: {_describe(batch)}")
+    optimizer.zero_grad()
+    loss.backward()
+    optimizer.step(lr=lr)
+    return BatchRecord(
+        epoch=epoch, step=step,
+        loss_triplet=float(loss_t.data), loss_id=float(loss_i.data),
+        lr=lr, grad_norm=_global_grad_norm(optimizer.params.values()),
+        wall_ms=(time.perf_counter() - started) * 1000.0,
+    )
+
+
 def train_epoch(model, dataset: VideoDataset, optimizer: Adam, cfg: TrainConfig,
                 epoch: int, rng: np.random.Generator,
                 fill_mean: np.ndarray | None = None, log_fn=None) -> EpochReport:
-    """One epoch of PK-sampled batches; returns per-batch records."""
+    """One epoch of PK-sampled batches (``train_step`` each); returns per-batch records."""
     model.train()
     if fill_mean is None:
         fill_mean = train_pixel_mean(dataset)
     n_train = len(dataset.of_split("train"))
     steps = cfg.steps_per_epoch or max(1, n_train // (cfg.p * cfg.k))
-    lr = lr_at_epoch(cfg.adam, epoch)
     report = EpochReport(epoch=epoch)
     schedule = epoch_identities(dataset, cfg.p, steps, rng)
     for step in range(steps):
-        started = time.perf_counter()
-        batch = pk_sample(dataset, cfg.p, cfg.k, model.cfg.clip_len, rng,
-                          identities=schedule[step])
-        clips = augment_clips(batch.clips, rng, fill_mean,
-                              flip_p=cfg.flip_p, erase_p=cfg.erase_p)
-        features, logits = model(clips)
-        loss_t = batch_hard_triplet(features, batch.labels, cfg.margin)
-        loss_i = label_smooth_ce(logits, batch.labels, cfg.label_smoothing)
-        loss = add(loss_t, loss_i)
-        if not np.isfinite(loss.data).all():
-            raise NumericError(f"non-finite loss at epoch {epoch} step {step}; "
-                               f"batch: {_describe(batch)}")
-        optimizer.zero_grad()
-        loss.backward()
-        optimizer.step(lr=lr)
-        record = BatchRecord(
-            epoch=epoch, step=step,
-            loss_triplet=float(loss_t.data), loss_id=float(loss_i.data),
-            lr=lr, grad_norm=_global_grad_norm(optimizer.params.values()),
-            wall_ms=(time.perf_counter() - started) * 1000.0,
-        )
+        record = train_step(model, dataset, optimizer, cfg, epoch, step, schedule[step],
+                            rng, fill_mean)
         report.records.append(record)
         if log_fn is not None:
             log_fn(record)

@@ -6,7 +6,7 @@ import pytest
 
 from cstnet import tensor as T
 from cstnet.errors import ContractError
-from cstnet.gradcheck import check_op, max_gradcheck_error
+from cstnet.gradcheck import check_op
 from cstnet.tensor import Tensor, constant, mul, no_grad, tsum
 
 

@@ -1,7 +1,5 @@
 """Synthetic generation, difficulty calibration, and the on-disk format."""
 
-from pathlib import Path
-
 import numpy as np
 import pytest
 from hypothesis import given

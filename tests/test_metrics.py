@@ -2,13 +2,13 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from cstnet.data import SequenceRecord, VideoDataset
 from cstnet.errors import ContractError
-from cstnet.metrics import (RankingMetrics, compute_cmc, compute_map, evaluate,
-                            evenly_spaced_indices, ranking_metrics)
+from cstnet.metrics import (compute_cmc, compute_map, evaluate, evenly_spaced_indices,
+                            ranking_metrics)
 from cstnet.verify import rank_loops, ranking_instance
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from cstnet.errors import ConfigError, ContractError, DimensionError
+from cstnet.errors import ConfigError, ContractError
 from cstnet.gradcheck import max_gradcheck_error
 from cstnet.model import Cstnet, CstnetConfig, ResidualStage, pairwise_distances
 from cstnet.tensor import Tensor, constant, mul, no_grad, tsum

@@ -6,7 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cstnet import tensor as T
-from cstnet.errors import ContractError, DimensionError, NumericError
+from cstnet.errors import DimensionError, NumericError
+from cstnet.gradcheck import check_op
 from cstnet.tensor import Tensor
 from cstnet.verify import conv2d_loops, matmul_loops, pool_loops
 
@@ -178,6 +179,26 @@ class TestPointwise:
     def test_sigmoid_range(self, rng):
         out = T.sigmoid(Tensor(rng.standard_normal(100) * 50)).data
         assert (out >= 0).all() and (out <= 1).all()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_sigmoid_matches_float64_reference_on_edge_values(self, dtype):
+        x = np.array([0.0, -0.0, 1e-45, -1e-45, 1.0, -1.0, 20.0, -20.0, 40.0, -40.0,
+                      88.7, -88.7, 104.0, -104.0, 745.0, -745.0, 1e30, -1e30,
+                      np.inf, -np.inf, np.nan], dtype=dtype)
+        out = T.sigmoid(Tensor(x)).data
+        assert out.dtype == dtype
+        number = ~np.isnan(x)
+        assert np.isnan(out[~number]).all()
+        # exp(-log(1 + exp(-x))), stable for every x: an independent float64 formula
+        ref = np.exp(-np.logaddexp(0.0, -x[number].astype(np.float64)))
+        info = np.finfo(dtype)
+        assert (np.abs(out[number] - ref) <= 4 * info.eps * ref + info.smallest_subnormal).all()
+        assert out[0] == out[1] == 0.5
+        assert out[-3] == 1.0 and out[-2] == 0.0
+
+    def test_sigmoid_gradcheck(self, rng):
+        x = np.concatenate([rng.standard_normal(8) * 4, [-30.0, -0.0, 0.0, 30.0]])
+        assert check_op(T.sigmoid, [x]) <= 1e-4
 
     def test_broadcast_singleton_extents(self, rng):
         a = rng.standard_normal((1, 4, 4))

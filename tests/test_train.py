@@ -1,7 +1,10 @@
 """Training loop: determinism, frozen-optimizer no-ops, abort diagnostics,
-and the empirical loss-decrease check on a micro setup."""
+the one-graph memory bound, and the empirical loss-decrease check on a micro
+setup."""
 
+import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -105,6 +108,27 @@ def test_checkpoint_cadence(tmp_path):
     fit(model, ds, micro_train_config(epochs=4),
         checkpoint_fn=lambda epoch: saved.append(epoch), checkpoint_every=2)
     assert saved == [1, 3]
+
+
+def _epoch_peak_bytes(steps: int) -> int:
+    """tracemalloc peak of one micro epoch of ``steps`` steps from a fresh model."""
+    ds = micro_dataset()
+    model = micro_model()
+    cfg = dataclasses.replace(micro_train_config(epochs=1), steps_per_epoch=steps)
+    optimizer = Adam(dict(model.named_parameters()), cfg.adam)
+    tracemalloc.start()
+    try:
+        train_epoch(model, ds, optimizer, cfg, epoch=0, rng=np.random.default_rng(0))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_epoch_peak_holds_one_graph():
+    # a step's graph must be freed before the next forward: with two graphs
+    # alive the 3-step peak is about 1.7x the 1-step peak
+    one, three = _epoch_peak_bytes(1), _epoch_peak_bytes(3)
+    assert three <= 1.15 * one, f"3-step peak {three / 1024:.0f} KB, 1-step {one / 1024:.0f} KB"
 
 
 def test_loss_decreases_over_ten_epochs_in_most_seeds():
