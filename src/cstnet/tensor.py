@@ -1,13 +1,19 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
-A ``Tensor`` wraps a contiguous numpy array together with an optional
-``OpRecord`` describing how it was produced.  Calling ``backward()`` on a
-scalar result walks the recorded graph once in reverse topological order and
-accumulates gradients into the ``grad`` buffers of the ``requires_grad``
-leaves.  The op set is exactly what the network needs: elementwise arithmetic
-with singleton-extent broadcasting, (batched) matmul, softmax/log-softmax,
-2d convolution, adaptive average pooling, batch normalization, reductions,
-shape manipulation, frame gathering and per-descriptor standardization.
+A ``Tensor`` wraps a contiguous numpy array.  An op result that needs a
+gradient also gets a data-free graph ``Node`` holding only the ``OpRecord``
+that describes how it was produced; consumers' records link to that node, not
+to the tensor.  So the graph keeps an op's output array only where a backward
+rule saved it: dropping a tensor frees its array even while its node lives
+on.  References run one way, tensor -> node -> record -> input nodes, so a
+graph is freed by reference counting as soon as its loss is dropped.  Calling
+``backward()`` on a scalar result walks the recorded graph once in reverse
+topological order and accumulates gradients into the ``grad`` buffers of the
+``requires_grad`` leaves.  The op set is exactly what the network needs:
+elementwise arithmetic with singleton-extent broadcasting, (batched) matmul,
+softmax/log-softmax, 2d convolution, adaptive average pooling, batch
+normalization, reductions, shape manipulation, frame gathering and
+per-descriptor standardization.
 
 All forward math runs on numpy; every backward rule lives here and is checked
 against central finite differences (see ``gradcheck``).  Activations are
@@ -51,8 +57,11 @@ class no_grad:
 
 
 class OpRecord:
-    """How a tensor was produced: op kind, input tensors, saved values.
+    """How a tensor was produced: op kind, inputs, saved values.
 
+    ``inputs`` holds, per op input, the input's data-free ``Node`` if it is
+    itself a recorded op result, and otherwise the leaf ``Tensor``
+    (parameters, constants, clips), whose ``grad`` the engine writes.
     ``backward_fn(grad, saved)`` returns one gradient array (or None) per
     input; it must consume only its own ``saved`` values.
     """
@@ -66,8 +75,19 @@ class OpRecord:
         self.backward_fn = backward_fn
 
 
+class Node:
+    """The graph's handle on one recorded op result: its record and id, no data."""
+
+    __slots__ = ("op", "node_id")
+    requires_grad = True
+
+    def __init__(self, op: OpRecord, node_id: int):
+        self.op = op
+        self.node_id = node_id
+
+
 class Tensor:
-    __slots__ = ("data", "requires_grad", "grad", "op", "node_id")
+    __slots__ = ("data", "requires_grad", "grad", "node", "node_id")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data, dtype=dtype)
@@ -76,8 +96,13 @@ class Tensor:
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.grad: Optional[np.ndarray] = None
-        self.op: Optional[OpRecord] = None
+        self.node: Optional[Node] = None
         self.node_id = next(_node_ids)
+
+    @property
+    def op(self) -> Optional[OpRecord]:
+        """The record of the op that produced this tensor; None for a leaf."""
+        return None if self.node is None else self.node.op
 
     # -- basic introspection -------------------------------------------------
     @property
@@ -109,8 +134,11 @@ class Tensor:
     def backward(self):
         """Accumulate gradients of this scalar onto all requires_grad leaves.
 
-        Visits each graph node exactly once, in reverse topological order.
-        Repeated calls without ``zero_grad`` accumulate additively.
+        Walks from this tensor's ``Node`` (or from itself, for a leaf) through
+        the records' inputs: data-free nodes of op results and leaf tensors.
+        Visits each graph node exactly once, in reverse topological order, and
+        frees no saved value, so repeated calls without ``zero_grad``
+        accumulate additively.
         """
         if self.data.size != 1:
             raise ContractError(f"backward requires a scalar loss, got shape {self.shape}")
@@ -118,9 +146,10 @@ class Tensor:
             return
 
         # Iterative depth-first topological sort over grad-requiring nodes.
-        topo: list[Tensor] = []
+        start = self if self.node is None else self.node
+        topo: list = []
         visited: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
+        stack: list[tuple] = [(start, False)]
         while stack:
             node, expanded = stack.pop()
             if expanded:
@@ -135,7 +164,7 @@ class Tensor:
                     if parent.requires_grad and id(parent) not in visited:
                         stack.append((parent, False))
 
-        flowing: dict[int, np.ndarray] = {id(self): np.ones_like(self.data)}
+        flowing: dict[int, np.ndarray] = {id(start): np.ones_like(self.data)}
         for node in reversed(topo):
             g = flowing.pop(id(node), None)
             if g is None:
@@ -210,10 +239,11 @@ def _result(op_kind: str, inputs: tuple, out_data: np.ndarray, backward_fn, save
     out.node_id = next(_node_ids)
     if _grad_enabled and any(t.requires_grad for t in inputs):
         out.requires_grad = True
-        out.op = OpRecord(op_kind, inputs, saved, backward_fn)
+        links = tuple(t if t.node is None else t.node for t in inputs)
+        out.node = Node(OpRecord(op_kind, links, saved, backward_fn), out.node_id)
     else:
         out.requires_grad = False
-        out.op = None
+        out.node = None
     return out
 
 
@@ -301,12 +331,14 @@ def scale(a: Tensor, s: float) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def relu(a: Tensor) -> Tensor:
+    # saves its output, not its input: out > 0 exactly where a > 0 (NaN and
+    # -0 included), so an input that nothing else saves is freed
     out = np.maximum(a.data, 0)
 
     def bw(g, saved):
         return (g * (saved[0] > 0),)
 
-    return _result("relu", (a,), out, bw, (a.data,))
+    return _result("relu", (a,), out, bw, (out,))
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -783,7 +815,7 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
 
 
 __all__ = [
-    "Tensor", "OpRecord", "no_grad", "constant",
+    "Tensor", "Node", "OpRecord", "no_grad", "constant",
     "add", "sub", "mul", "div", "neg", "scale",
     "relu", "sigmoid", "exp", "log", "sqrt", "softmax", "log_softmax",
     "tsum", "tmean", "reduce_max", "reduce_min",

@@ -1,17 +1,19 @@
 """Training loop: PK batches, augmentation, combined loss, Adam, batch logs.
 
 Every batch emits one structured record (epoch, step, triplet loss, id loss,
-learning rate, wall time).  Wall time is the only volatile field; all other
-fields are bit-reproducible for a fixed seed and config.  Each step runs in
-its own call (``train_step``), so its autograd graph is freed before the next
-step's forward and the training peak holds one graph, not two.
+learning rate, gradient norm, wall time and the time of each phase: sampling,
+forward, backward, optimizer step).  The five timings are the only volatile
+fields; all other fields are bit-reproducible for a fixed seed and config.
+Each step runs in its own call (``train_step``), so its autograd graph is
+freed before the next step's forward and the training peak holds one graph,
+not two.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -63,14 +65,14 @@ class BatchRecord:
     loss_id: float
     lr: float
     grad_norm: float
-    wall_ms: float
+    wall_ms: float          # the whole step; the four phases below lie inside it
+    sample_ms: float        # pk_sample and augmentation
+    forward_ms: float       # forward, both losses and the finite check
+    backward_ms: float      # zero_grad and backward
+    step_ms: float          # Adam and the gradient norm
 
     def to_json(self) -> str:
-        return json.dumps({
-            "epoch": self.epoch, "step": self.step,
-            "loss_triplet": self.loss_triplet, "loss_id": self.loss_id,
-            "lr": self.lr, "grad_norm": self.grad_norm, "wall_ms": self.wall_ms,
-        }, sort_keys=True)
+        return json.dumps(asdict(self), sort_keys=True)
 
 
 @dataclass
@@ -106,14 +108,17 @@ def train_step(model, dataset: VideoDataset, optimizer: Adam, cfg: TrainConfig,
     """One optimizer step on a PK batch of ``identities``; returns its record.
 
     Sample, augment, forward, both losses, the finite check, backward, Adam
-    and the gradient norm.  Every tensor of the step's autograd graph is
-    local to this call, so the graph is freed when it returns, before the
-    next step's forward: training holds one graph at a time.
+    and the gradient norm, each phase timed.  Every tensor of the step's
+    autograd graph is local to this call, so the graph is freed when it
+    returns, before the next step's forward: training holds one graph at a
+    time.
     """
     started = time.perf_counter()
     lr = lr_at_epoch(cfg.adam, epoch)
+    stamps = [time.perf_counter()]
     batch = pk_sample(dataset, cfg.p, cfg.k, model.cfg.clip_len, rng, identities=identities)
     clips = augment_clips(batch.clips, rng, fill_mean, flip_p=cfg.flip_p, erase_p=cfg.erase_p)
+    stamps.append(time.perf_counter())
     features, logits = model(clips)
     loss_t = batch_hard_triplet(features, batch.labels, cfg.margin)
     loss_i = label_smooth_ce(logits, batch.labels, cfg.label_smoothing)
@@ -121,14 +126,20 @@ def train_step(model, dataset: VideoDataset, optimizer: Adam, cfg: TrainConfig,
     if not np.isfinite(loss.data).all():
         raise NumericError(f"non-finite loss at epoch {epoch} step {step}; "
                            f"batch: {_describe(batch)}")
+    stamps.append(time.perf_counter())
     optimizer.zero_grad()
     loss.backward()
+    stamps.append(time.perf_counter())
     optimizer.step(lr=lr)
+    grad_norm = _global_grad_norm(optimizer.params.values())
+    stamps.append(time.perf_counter())
+    sample_ms, forward_ms, backward_ms, step_ms = (
+        (end - start) * 1000.0 for start, end in zip(stamps, stamps[1:]))
     return BatchRecord(
         epoch=epoch, step=step,
         loss_triplet=float(loss_t.data), loss_id=float(loss_i.data),
-        lr=lr, grad_norm=_global_grad_norm(optimizer.params.values()),
-        wall_ms=(time.perf_counter() - started) * 1000.0,
+        lr=lr, grad_norm=grad_norm, wall_ms=(stamps[-1] - started) * 1000.0,
+        sample_ms=sample_ms, forward_ms=forward_ms, backward_ms=backward_ms, step_ms=step_ms,
     )
 
 

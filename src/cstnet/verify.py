@@ -6,8 +6,9 @@ numpy and independent of the engine: the scalar NCC (``ncc``) and the
 co-saliency correlation volumes built from it (``build_spatial_volume``,
 ``build_channel_volume``, composed by ``materialized_attention``), the matrix
 product (``matmul_loops``), cross-correlation (``conv2d_loops``), adaptive
-average pooling (``pool_loops``), CMC and mAP (``rank_loops``) and the
-batch-hard triplet loss (``batch_hard_triplet_loops``).  ``cstnet verify`` and
+average pooling (``pool_loops``), batch norm's output and running statistics
+(``batch_norm_reference``), CMC and mAP (``rank_loops``) and the batch-hard
+triplet loss (``batch_hard_triplet_loops``).  ``cstnet verify`` and
 the tests compare the engine and the model against them; the ``ncc/*`` and
 ``oracle/*_volume`` properties check the oracles themselves.  Every differentiable operation and
 composite is also checked against central finite differences, and batch norm
@@ -534,8 +535,8 @@ _CONV_CASES = (("k3_s1", 3, 1, 1, False), ("k3_s2", 3, 2, 1, False),
 _CONV_TOL = {np.float64: 1e-10, np.float32: 1e-5}    # max abs error; outputs are O(1)-O(10)
 
 
-def _batch_norm_reference(x, gamma, beta, running_mean, running_var, training: bool,
-                         momentum: float = 0.1, eps: float = 1e-5):
+def batch_norm_reference(x, gamma, beta, running_mean, running_var, training: bool,
+                        momentum: float = 0.1, eps: float = 1e-5):
     """Float64 output and updated running buffers: two-pass ``np.var`` statistics."""
     x = np.asarray(x, np.float64)
     if training:
@@ -619,7 +620,7 @@ def _batch_norm_oracle(rng) -> list[PropertyResult]:
         leaves = [Tensor(a.copy(), requires_grad=True) for a in (x, gamma, beta)]
         running_mean, running_var = mean0.copy(), var0.copy()
         out = T.batch_norm(*leaves, running_mean, running_var, training=training)
-        ref, ref_mean, ref_var = _batch_norm_reference(x, gamma, beta, mean0, var0, training)
+        ref, ref_mean, ref_var = batch_norm_reference(x, gamma, beta, mean0, var0, training)
         tsum(mul(out, proj)).backward()
         grads = [leaf.grad for leaf in leaves]
         composed = [Tensor(a.copy(), requires_grad=True) for a in (x, gamma, beta)]

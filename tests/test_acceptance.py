@@ -128,7 +128,8 @@ def test_reproducibility(tmp_path):
         records = [json.loads(line)
                    for line in (tmp_path / f"{run}.jsonl").read_text().splitlines()]
         for record in records:
-            record.pop("wall_ms")       # wall time is the one volatile field
+            for name in ("wall_ms", "sample_ms", "forward_ms", "backward_ms", "step_ms"):
+                record.pop(name)        # the timings are the only volatile fields
         artifacts.append((records, (tmp_path / f"{run}.ckpt").read_bytes(),
                           metrics.cmc.tobytes(), metrics.map))
 
@@ -138,5 +139,5 @@ def test_reproducibility(tmp_path):
     ok = datasets_equal and logs_equal and ckpt_equal and eval_equal
     report("reproducibility", ok,
            f"datasets bit-equal={datasets_equal}, loss records equal={logs_equal} "
-           f"(wall_ms excluded), checkpoints bit-equal={ckpt_equal}, "
+           f"(timings excluded), checkpoints bit-equal={ckpt_equal}, "
            f"eval tables equal={eval_equal}")

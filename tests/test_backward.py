@@ -1,6 +1,8 @@
 """Reverse-mode semantics: analytic cases, accumulation, determinism, and the
 finite-difference check on a composite graph."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -116,3 +118,50 @@ def test_conv_weight_gradient_independent_of_input_flag(rng, k, stride, padding)
         grads.append(wt.grad)
         assert (xt.grad is not None) == x_requires_grad
     assert np.array_equal(grads[0], grads[1])
+
+
+def _root(arr: np.ndarray) -> np.ndarray:
+    while isinstance(arr.base, np.ndarray):
+        arr = arr.base
+    return arr
+
+
+def test_graph_keeps_no_output_that_no_backward_rule_saves(rng):
+    # conv -> batch norm -> relu -> conv -> sum: batch norm saves its own x_hat
+    # and relu its output, so no backward rule reads the first conv's output or
+    # the batch-norm output; once the user drops them, their arrays are freed
+    values = (rng.standard_normal((2, 3, 6, 5)), rng.standard_normal((4, 3, 3, 3)),
+              rng.standard_normal(4), rng.standard_normal(4), rng.standard_normal((2, 4, 3, 3)))
+
+    def run(keep_references):
+        leaves = [Tensor(v.copy(), requires_grad=True) for v in values]
+        x, w1, gamma, beta, w2 = leaves
+        conv = T.conv2d(x, w1, padding=1)
+        normed = T.batch_norm(conv, gamma, beta, np.zeros(4), np.ones(4), training=True)
+        loss = tsum(T.conv2d(T.relu(normed), w2, padding=1))
+        held = [conv, normed] if keep_references else []     # alive until run returns
+        arrays = [weakref.ref(_root(t.data)) for t in (conv, normed)]
+        del conv, normed
+        freed = [a() is None for a in arrays]
+        loss.backward()
+        return freed, [leaf.grad for leaf in leaves]
+
+    freed, dropped = run(keep_references=False)
+    still_held, kept = run(keep_references=True)
+    assert freed == [True, True] and still_held == [False, False]
+    for a, b in zip(dropped, kept):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_relu_gradient_from_its_output_equals_the_input_mask(dtype):
+    info = np.finfo(dtype)
+    tiny = info.smallest_subnormal
+    a = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, tiny, -tiny, 3 * tiny, -3 * tiny,
+                  info.tiny, -info.tiny, 1.0, -1.0], dtype=dtype)
+    g = np.linspace(-3.0, 3.0, a.size).astype(dtype)
+    out = T.relu(Tensor(a, requires_grad=True))
+    assert out.op.saved[0] is out.data          # the output is saved, not the input
+    (grad,) = out.op.backward_fn(g, out.op.saved)
+    expected = g * (a > 0)
+    assert grad.dtype == expected.dtype and grad.tobytes() == expected.tobytes()

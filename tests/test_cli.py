@@ -142,7 +142,8 @@ class TestTrain:
             lines = (tmp_path / sub / "train_log.jsonl").read_text().splitlines()
             records = [json.loads(line) for line in lines]
             for rec in records:
-                rec.pop("wall_ms")          # the only volatile field
+                for name in ("wall_ms", "sample_ms", "forward_ms", "backward_ms", "step_ms"):
+                    rec.pop(name)           # the timings are the only volatile fields
             logs.append(records)
         assert logs[0] == logs[1]
 

@@ -9,7 +9,7 @@ from cstnet import tensor as T
 from cstnet.errors import DimensionError, NumericError
 from cstnet.gradcheck import check_op
 from cstnet.tensor import Tensor
-from cstnet.verify import conv2d_loops, matmul_loops, pool_loops
+from cstnet.verify import batch_norm_reference, conv2d_loops, matmul_loops, pool_loops
 
 
 class TestMatmul:
@@ -256,8 +256,8 @@ class TestBatchNorm:
 
     @pytest.mark.parametrize("training", [True, False])
     def test_float64_two_pass_reference(self, rng, training):
-        # output, running buffers and all three gradients against np.var
-        # statistics and the textbook backward, all in float64
+        # output and running buffers against verify's float64 reference, and
+        # all three gradients against the textbook backward, all in float64
         x = rng.standard_normal((4, 3, 5, 2)) * 2.0 + 1.5
         gamma, beta = rng.standard_normal(3), rng.standard_normal(3)
         mean0, var0 = rng.standard_normal(3), rng.uniform(0.5, 2.0, 3)
@@ -267,19 +267,19 @@ class TestBatchNorm:
         out = T.batch_norm(xt, gt, bt, running_mean, running_var, training=training)
         T.tsum(T.mul(out, T.constant(g))).backward()
 
+        ref, ref_mean, ref_var = batch_norm_reference(x, gamma, beta, mean0, var0, training)
         axes, shape = (0, 2, 3), (1, 3, 1, 1)
         mu, var = (x.mean(axis=axes), x.var(axis=axes)) if training else (mean0, var0)
         inv = 1.0 / np.sqrt(var + 1e-5)
         xhat = (x - mu.reshape(shape)) * inv.reshape(shape)
-        ref = gamma.reshape(shape) * xhat + beta.reshape(shape)
         dgamma, dbeta = (g * xhat).sum(axis=axes), g.sum(axis=axes)
         dxhat = g * gamma.reshape(shape)
         if training:
             m = x.size // 3
             dx = inv.reshape(shape) / m * (m * dxhat - dxhat.sum(axis=axes, keepdims=True)
                                            - xhat * (dxhat * xhat).sum(axis=axes, keepdims=True))
-            assert np.abs(running_mean - (0.9 * mean0 + 0.1 * mu)).max() < 1e-12
-            assert np.abs(running_var - (0.9 * var0 + 0.1 * var)).max() < 1e-12
+            assert np.abs(running_mean - ref_mean).max() < 1e-12
+            assert np.abs(running_var - ref_var).max() < 1e-12
         else:
             dx = dxhat * inv.reshape(shape)
             assert np.array_equal(running_mean, mean0) and np.array_equal(running_var, var0)

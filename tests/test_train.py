@@ -68,10 +68,13 @@ def test_log_file_records_every_batch(tmp_path):
     lines = (tmp_path / "log.jsonl").read_text().splitlines()
     records = [json.loads(line) for line in lines]
     assert len(records) == sum(len(r.records) for r in reports)
+    phases = ("sample_ms", "forward_ms", "backward_ms", "step_ms")
     for rec in records:
         assert set(rec) == {"epoch", "step", "loss_triplet", "loss_id", "lr",
-                            "grad_norm", "wall_ms"}
+                            "grad_norm", "wall_ms", *phases}
         assert np.isfinite(rec["loss_triplet"]) and np.isfinite(rec["loss_id"])
+        assert all(rec[name] >= 0 for name in phases)
+        assert sum(rec[name] for name in phases) <= rec["wall_ms"]
 
 
 def test_nan_loss_aborts_with_provenance():
