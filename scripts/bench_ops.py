@@ -9,8 +9,10 @@ The script pins BLAS and OpenMP to one thread before numpy loads.  It runs one
 forward with the three ops wrapped to keep each call's arguments, then replays
 every call ``--repeats`` times: the forward as the model called it (same
 tensors, same gradient flags) and the backward rule of its graph node on a
-fixed random upstream gradient.  Each call reports its median; each op kind
-reports the sum of its calls' medians, which is one forward's worth.  The JSON
+fixed random upstream gradient.  Each call reports its median times and the
+bytes its graph node keeps for the backward (the unique base arrays of its
+saved values, counted as ``graph.saved_mb`` counts a whole graph); each op
+kind reports the sum over its calls, which is one forward's worth.  The JSON
 also holds the thread variables, the BLAS, nproc and the 1-minute load average
 at start and end.
 """
@@ -76,9 +78,24 @@ def describe(op: str, args, kwargs) -> dict:
     return row
 
 
-def time_call(fn, args, kwargs, repeats: int, rng) -> tuple[float, float]:
-    """Median forward and backward-rule milliseconds of one call."""
+def saved_bytes(values) -> int:
+    """Bytes of the unique root arrays among (nested) saved values."""
+    roots, stack = {}, list(values)
+    while stack:
+        v = stack.pop()
+        if isinstance(v, (tuple, list)):
+            stack.extend(v)
+        elif isinstance(v, np.ndarray):
+            while isinstance(v.base, np.ndarray):
+                v = v.base
+            roots[id(v)] = v.nbytes
+    return sum(roots.values())
+
+
+def time_call(fn, args, kwargs, repeats: int, rng) -> tuple[float, float, int]:
+    """Median forward and backward-rule milliseconds of one call, and its saved bytes."""
     out = fn(*args, **kwargs)
+    nbytes = saved_bytes(out.op.saved)
     g = rng.standard_normal(out.shape).astype(out.dtype)
     fwd, bwd = [], []
     for _ in range(repeats):
@@ -88,7 +105,7 @@ def time_call(fn, args, kwargs, repeats: int, rng) -> tuple[float, float]:
         start = time.perf_counter()
         out.op.backward_fn(g, out.op.saved)
         bwd.append(time.perf_counter() - start)
-    return 1e3 * float(np.median(fwd)), 1e3 * float(np.median(bwd))
+    return 1e3 * float(np.median(fwd)), 1e3 * float(np.median(bwd)), nbytes
 
 
 def main():
@@ -107,12 +124,14 @@ def main():
     rng = np.random.default_rng(args.seed)
     rows = []
     for op, call_args, call_kwargs in record_calls(args.seed):
-        fwd_ms, bwd_ms = time_call(vars(tensor)[op], call_args, call_kwargs, args.repeats, rng)
+        fwd_ms, bwd_ms, nbytes = time_call(vars(tensor)[op], call_args, call_kwargs,
+                                           args.repeats, rng)
         rows.append({**describe(op, call_args, call_kwargs),
-                     "fwd_ms": round(fwd_ms, 4), "bwd_ms": round(bwd_ms, 4)})
+                     "fwd_ms": round(fwd_ms, 4), "bwd_ms": round(bwd_ms, 4), "saved_bytes": nbytes})
     totals = {op: {"calls": sum(r["op"] == op for r in rows),
                    "fwd_ms": round(sum(r["fwd_ms"] for r in rows if r["op"] == op), 3),
-                   "bwd_ms": round(sum(r["bwd_ms"] for r in rows if r["op"] == op), 3)}
+                   "bwd_ms": round(sum(r["bwd_ms"] for r in rows if r["op"] == op), 3),
+                   "saved_bytes": sum(r["saved_bytes"] for r in rows if r["op"] == op)}
               for op in OPS}
     env["load1_end"] = os.getloadavg()[0]
     result = {"env": env,
@@ -123,7 +142,8 @@ def main():
         json.dump(result, fh, indent=1)
         fh.write("\n")
     for op, t in totals.items():
-        print(f"{op:20s} calls={t['calls']:3d} fwd_ms={t['fwd_ms']:8.3f} bwd_ms={t['bwd_ms']:8.3f}")
+        print(f"{op:20s} calls={t['calls']:3d} fwd_ms={t['fwd_ms']:8.3f} bwd_ms={t['bwd_ms']:8.3f} "
+              f"saved_mb={t['saved_bytes'] / 2 ** 20:7.2f}")
     print(f"wrote {args.out}")
 
 

@@ -22,7 +22,11 @@ a 1x1 convolution is a channel matmul on (N, C, H*W); any other convolution
 is im2col from an NHWC-padded copy, so each column fills from contiguous
 (kw, C) runs, and one GEMM, and its input gradient is added back tap by tap;
 batch norm works on the (N, C*H*W) view; adaptive pooling is one matmul with
-a cached, read-only bin-averaging matrix for every bin layout.
+a cached, read-only bin-averaging matrix for every bin layout.  A convolution
+saves only its input and weight arrays, which the graph mostly holds anyway
+(the preceding ReLU's output, the clips); its backward re-forms the im2col
+columns, or the strided 1x1 slice, from the input, so a backward holds one
+convolution's columns at a time.
 Graphs are single-threaded: one forward+backward pass owns its graph exclusively.
 Tensors without gradient state are immutable by convention and safe to share.
 """
@@ -63,7 +67,10 @@ class OpRecord:
     itself a recorded op result, and otherwise the leaf ``Tensor``
     (parameters, constants, clips), whose ``grad`` the engine writes.
     ``backward_fn(grad, saved)`` returns one gradient array (or None) per
-    input; it must consume only its own ``saved`` values.
+    input; it must consume only its own ``saved`` values.  Each returned
+    array is either freshly allocated for that input or a view of ``grad``
+    itself (``add`` passes ``grad`` through, ``reshape`` views it), so the
+    engine copies before it sums into one that may share ``grad``'s memory.
     """
 
     __slots__ = ("op_kind", "inputs", "saved", "backward_fn")
@@ -165,6 +172,9 @@ class Tensor:
                         stack.append((parent, False))
 
         flowing: dict[int, np.ndarray] = {id(start): np.ones_like(self.data)}
+        # keys whose stored gradient may be (a view of) a rule's upstream g,
+        # which other keys can hold too; the first sum into one is out of place
+        borrowed: set[int] = set()
         for node in reversed(topo):
             g = flowing.pop(id(node), None)
             if g is None:
@@ -180,10 +190,16 @@ class Tensor:
                 if ig is None or not parent.requires_grad:
                     continue
                 key = id(parent)
-                if key in flowing:
-                    flowing[key] += ig
-                else:
+                if key not in flowing:
                     flowing[key] = ig
+                    if np.may_share_memory(ig, g):
+                        borrowed.add(key)
+                elif key in borrowed:
+                    stored = flowing[key]
+                    flowing[key] = np.add(stored, ig, out=np.empty_like(stored))
+                    borrowed.discard(key)
+                else:
+                    flowing[key] += ig
 
     # -- operator sugar --------------------------------------------------------
     def __add__(self, other):
@@ -641,8 +657,11 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
     A 1x1 kernel without padding is a channel matmul on (N, C, H*W), with the
     stride taken by slicing.  Any other kernel is im2col (Chellapilla et al.
     2006, "High Performance CNNs for Document Processing") and one GEMM.
-    The output is contiguous NCHW.  The backward skips the input gradient
-    when the input requires none (e.g. the clips fed to the stem).
+    The output is contiguous NCHW.  The graph node saves the input and the
+    weight, nothing derived from them: the backward re-forms the columns
+    (the same bytes as the forward's) and frees them before the input
+    gradient, and re-slices a strided 1x1 input.  It skips the input
+    gradient when the input requires none (e.g. the clips fed to the stem).
     """
     if x.ndim != 4 or weight.ndim != 4:
         raise DimensionError(f"conv2d: need 4-d input and kernel, got {x.shape} and {weight.shape}")
@@ -667,8 +686,10 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
             out += bias.data[:, None]
 
         def bw_matmul(g, saved):
-            x3_s, wmat_s, (shape, s_, need_dx_, has_bias_) = saved
+            x_s, wmat_s, (s_, need_dx_, has_bias_) = saved
+            shape = x_s.shape
             g3 = g.reshape(shape[0], len(wmat_s), -1)
+            x3_s = x_s[:, :, ::s_, ::s_].reshape(shape[0], shape[1], -1)
             dw = np.matmul(g3, x3_s.transpose(0, 2, 1)).sum(axis=0).reshape(wmat_s.shape + (1, 1))
             dx = None
             if need_dx_:
@@ -681,7 +702,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
             return (dx, dw, g3.sum(axis=(0, 2))) if has_bias_ else (dx, dw)
 
         return _result("conv2d", inputs, out.reshape(n, c_out, oh, ow), bw_matmul,
-                       (x3, wmat, (x.shape, s, need_dx, has_bias)))
+                       (x.data, wmat, (s, need_dx, has_bias)))
 
     cols = _im2col(x.data, kh, kw, s, p, oh, ow)
     wmat = weight.data.transpose(0, 2, 3, 1).reshape(c_out, kh * kw * c_in)
@@ -691,20 +712,23 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
     out = np.ascontiguousarray(out.reshape(n, oh, ow, c_out).transpose(0, 3, 1, 2))
 
     def bw_im2col(g, saved):
-        cols_s, w_s, (shape, s_, p_, need_dx_, has_bias_) = saved
+        x_s, w_s, (s_, p_, need_dx_, has_bias_) = saved
         c_out_, c_in_, kh_, kw_ = w_s.shape
         gmat = g.transpose(0, 2, 3, 1).reshape(-1, c_out_)
+        # the forward's columns, re-formed from the saved input: the same bytes
+        cols_s = _im2col(x_s, kh_, kw_, s_, p_, g.shape[2], g.shape[3])
         dw = (gmat.T @ cols_s).reshape(c_out_, kh_, kw_, c_in_).transpose(0, 3, 1, 2)
         dw = np.ascontiguousarray(dw)
+        del cols_s                  # freed before _col2im allocates its buffer
         dx = None
         if need_dx_:
             # one contiguous (C_out, C_in) matrix per tap, in (kh, kw) order
             taps = w_s.transpose(2, 3, 0, 1).reshape(kh_ * kw_, c_out_, c_in_)
-            dx = _col2im(gmat, taps, shape, kh_, kw_, s_, p_)
+            dx = _col2im(gmat, taps, x_s.shape, kh_, kw_, s_, p_)
         return (dx, dw, gmat.sum(axis=0)) if has_bias_ else (dx, dw)
 
     return _result("conv2d", inputs, out, bw_im2col,
-                   (cols, weight.data, (x.shape, s, p, need_dx, has_bias)))
+                   (x.data, weight.data, (s, p, need_dx, has_bias)))
 
 
 @functools.lru_cache(maxsize=64)

@@ -5,11 +5,14 @@ lines.  The two training-based criteria (synthetic learnability, ablation
 direction) dominate the runtime; everything else finishes in seconds.  The
 criteria that ``cstnet verify`` measures (gradients, NCC, oracles, invariants)
 read the named properties of one clean verify run, shared through the
-``verify_run`` fixture.
+``verify_run`` fixture.  Both training criteria carry the ``slow`` marker,
+so ``pytest -m "not slow"`` runs everything else.
 """
 
 import json
 import time
+
+import pytest
 
 from cstnet.data import SynthSpec, generate_synthetic, load_dataset, save_dataset
 from cstnet.experiments import run_ablation, run_learnability
@@ -73,6 +76,7 @@ def test_structural_invariants(verify_run):
                        "invariant/gate_in_unit_interval", "invariant/cmc_monotone"))
 
 
+@pytest.mark.slow
 def test_synthetic_learnability():
     """Full small-scale model reaches rank-1 >= 0.90 within 50 epochs in the
     median of 3 seeds on the moderate-nuisance preset, within 15 minutes."""
@@ -85,6 +89,7 @@ def test_synthetic_learnability():
            f"median {result.median:.3f} (need >= 0.90) in {elapsed:.0f}s (limit 900s)")
 
 
+@pytest.mark.slow
 def test_ablation_direction():
     """On the high-clutter preset, median-over-5-seeds rank-1 satisfies
     full >= csl >= base - 0.02, full >= sti >= base - 0.02, full >= base + 0.03."""

@@ -59,6 +59,24 @@ def test_shared_input_used_twice(rng):
     assert np.allclose(x.grad, [7.0])
 
 
+def test_gradient_passed_through_twice_is_not_summed_into_itself():
+    # add's rule hands its upstream gradient to both inputs unchanged, so
+    # the same array reaches x's node from three edges
+    x = Tensor(np.ones(3), requires_grad=True)
+    a = T.scale(x, 1.0)
+    tsum(T.add(T.add(a, a), a)).backward()
+    assert np.array_equal(x.grad, np.full(3, 3.0))
+
+
+def test_gradient_shared_between_two_inputs_stays_separate():
+    x = Tensor(np.ones(3), requires_grad=True)
+    c = Tensor(np.ones(3), requires_grad=True)
+    a = T.scale(x, 1.0)
+    tsum(T.add(T.add(a, c), T.add(a, c))).backward()
+    assert np.array_equal(x.grad, np.full(3, 2.0))
+    assert np.array_equal(c.grad, np.full(3, 2.0))
+
+
 def test_no_grad_suppresses_graph(rng):
     x = Tensor(rng.standard_normal(3), requires_grad=True)
     with no_grad():
@@ -101,7 +119,11 @@ def test_gradcheck_catches_broken_rule(rng):
     assert err > 1e-2
 
 
-@pytest.mark.parametrize("k, stride, padding", [(3, 1, 1), (3, 2, 1), (1, 1, 0), (1, 2, 0)])
+# every conv geometry the model builds: 3x3 and 1x1, each at stride 1 and 2
+CONV_GEOMETRIES = [(3, 1, 1), (3, 2, 1), (1, 1, 0), (1, 2, 0)]
+
+
+@pytest.mark.parametrize("k, stride, padding", CONV_GEOMETRIES)
 def test_conv_weight_gradient_independent_of_input_flag(rng, k, stride, padding):
     # the input gradient is skipped for constant inputs; dw must not change
     x = rng.standard_normal((2, 3, 7, 5))
@@ -124,6 +146,18 @@ def _root(arr: np.ndarray) -> np.ndarray:
     while isinstance(arr.base, np.ndarray):
         arr = arr.base
     return arr
+
+
+@pytest.mark.parametrize("k, stride, padding", CONV_GEOMETRIES)
+def test_conv_saves_only_its_input_and_weight(rng, k, stride, padding):
+    # the backward re-forms im2col columns and strided slices from the input
+    x = Tensor(rng.standard_normal((2, 3, 7, 5)), requires_grad=True)
+    w = Tensor(rng.standard_normal((4, 3, k, k)), requires_grad=True)
+    out = T.conv2d(x, w, stride=stride, padding=padding)
+    arrays = [v for v in out.op.saved if isinstance(v, np.ndarray)]
+    assert arrays
+    for arr in arrays:
+        assert _root(arr) is x.data or _root(arr) is w.data
 
 
 def test_graph_keeps_no_output_that_no_backward_rule_saves(rng):
