@@ -13,8 +13,9 @@ fixed random upstream gradient.  Each call reports its median times and the
 bytes its graph node keeps for the backward (the unique base arrays of its
 saved values, counted as ``graph.saved_mb`` counts a whole graph); each op
 kind reports the sum over its calls, which is one forward's worth.  The JSON
-also holds the thread variables, the BLAS, nproc and the 1-minute load average
-at start and end.
+also holds the thread variables, the BLAS, the CPUs this process may run on
+(nproc) and the machine's CPU count (cpu_count), as perfbench's ``env``
+lines do, and the 1-minute load average at start and end.
 """
 
 import os
@@ -118,7 +119,8 @@ def main():
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     env = {name: os.environ.get(name) for name in THREAD_VARIABLES}
     env.update(numpy=np.__version__, blas=f"{blas.get('name')} {blas.get('version')}",
-               python=platform.python_version(), nproc=os.cpu_count(),
+               python=platform.python_version(), nproc=len(os.sched_getaffinity(0)),
+               cpu_count=os.cpu_count(),
                load1_start=os.getloadavg()[0])
 
     rng = np.random.default_rng(args.seed)

@@ -1,7 +1,7 @@
 """Command-line entry point.
 
-Commands: ``synth`` (generate + save a dataset), ``train``, ``eval``,
-``verify`` (property suite), ``gradcheck`` (finite-difference suite only).
+Commands: ``synth`` (generate + save a dataset), ``train``, ``eval`` and
+``verify`` (property suite).
 Every command reads an optional ``key = value`` config file and applies
 command-line overrides (``--stage-channels`` sets ``stage_channels``).
 ``synth``, ``train`` and ``eval`` write a resolved-config echo into the
@@ -36,7 +36,7 @@ from .metrics import evaluate
 from .model import Cstnet, CstnetConfig
 from .optim import AdamConfig
 from .train import TrainConfig, fit
-from .verify import main_report, run_gradcheck_suite, run_verification
+from .verify import main_report, run_verification
 
 OUT_ENV_VAR = "CSTNET_OUT"
 
@@ -62,9 +62,8 @@ DEFAULTS: dict[str, dict] = {
         **_field_defaults(AdamConfig),
         "data": "", "out": "train_out", "ablation": "full", "checkpoint_every": 0,
     },
-    "eval": {"checkpoint": "", "data": "", "out": "eval_out", "max_rank": 20, "clip_len": 0},
+    "eval": {"checkpoint": "", "data": "", "out": "eval_out", "max_rank": 20},
     "verify": {"inject_fault": ""},
-    "gradcheck": {},
 }
 
 
@@ -193,8 +192,7 @@ def cmd_eval(args) -> int:
     if dataset.sequences and dataset.frame_shape() != (3, model.cfg.frame_h, model.cfg.frame_w):
         raise ConfigError(f"checkpoint expects {model.cfg.frame_h}x{model.cfg.frame_w} frames "
                           f"but dataset has {dataset.frame_shape()[1]}x{dataset.frame_shape()[2]}")
-    clip_len = resolved["clip_len"] or model.cfg.clip_len
-    metrics = evaluate(model, dataset, clip_len=clip_len, max_rank=resolved["max_rank"])
+    metrics = evaluate(model, dataset, clip_len=model.cfg.clip_len, max_rank=resolved["max_rank"])
     out = _out_dir(resolved)
     write_config_echo(out, resolved)
     with open(out / "metrics.txt", "w") as fh:
@@ -224,14 +222,6 @@ def cmd_verify(args) -> int:
     return 0 if ok else 2
 
 
-def cmd_gradcheck(args) -> int:
-    resolve_config("gradcheck", args)
-    started = time.perf_counter()
-    results = run_gradcheck_suite()
-    ok = main_report(results, checks_s=time.perf_counter() - started)
-    return 0 if ok else 2
-
-
 # ---------------------------------------------------------------------------
 # argument parsing
 # ---------------------------------------------------------------------------
@@ -257,7 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
     add("train", cmd_train)
     add("eval", cmd_eval)
     add("verify", cmd_verify)
-    add("gradcheck", cmd_gradcheck)
     return parser
 
 

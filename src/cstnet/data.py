@@ -34,7 +34,7 @@ rest train.  With a single camera everything lands in train.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -131,9 +131,6 @@ class SynthSpec:
             raise ContractError("illum_scale must satisfy 0 < lo <= hi")
         if self.illum_shift[0] > self.illum_shift[1]:
             raise ContractError("illum_shift must satisfy lo <= hi")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass

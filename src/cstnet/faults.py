@@ -12,23 +12,16 @@ KNOWN_FAULTS = ("ncc-sign-flip",)
 _active: set[str] = set()
 
 
-def inject(name: str):
-    if name not in KNOWN_FAULTS:
-        raise ConfigError(f"unknown fault '{name}'; known: {KNOWN_FAULTS}")
-    _active.add(name)
-
-
-def clear():
-    _active.clear()
-
-
 def is_active(name: str) -> bool:
     return name in _active
 
 
 @contextmanager
 def injected(name: str):
-    inject(name)
+    """Activate the named fault for the body of the ``with`` block."""
+    if name not in KNOWN_FAULTS:
+        raise ConfigError(f"unknown fault '{name}'; known: {KNOWN_FAULTS}")
+    _active.add(name)
     try:
         yield
     finally:

@@ -72,17 +72,6 @@ def ranking_metrics(dist, query_ids, gallery_ids, query_cams, gallery_cams,
                           excluded_queries=int((~valid).sum()))
 
 
-def compute_cmc(dist, query_ids, gallery_ids, query_cams, gallery_cams,
-                max_rank: int) -> np.ndarray:
-    """Rank-k accuracies for k = 1..max_rank (non-decreasing in k)."""
-    return ranking_metrics(dist, query_ids, gallery_ids, query_cams, gallery_cams, max_rank).cmc
-
-
-def compute_map(dist, query_ids, gallery_ids, query_cams, gallery_cams) -> float:
-    """Mean over queries of average precision of the ranked gallery list."""
-    return ranking_metrics(dist, query_ids, gallery_ids, query_cams, gallery_cams, 1).map
-
-
 def evenly_spaced_indices(length: int, count: int) -> np.ndarray:
     """Deterministic evaluation clip: `count` evenly spaced frame indices."""
     if length < 1 or count < 1:

@@ -67,6 +67,10 @@ class CstnetConfig:
             raise ConfigError(f"insertion_points must be within 1..5, got {self.insertion_points}")
         if self.embedding_dim < 1:
             raise ConfigError("embedding_dim must be >= 1")
+        for name in ("csl_channels", "csl_pool_h", "csl_pool_w",
+                     "sti_channels", "sti_pool_h", "sti_pool_w"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.dtype not in ("f32", "f64"):
             raise ConfigError(f"dtype must be 'f32' or 'f64', got {self.dtype!r}")
 

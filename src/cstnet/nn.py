@@ -89,10 +89,6 @@ class Module:
     def eval(self):
         return self.train(False)
 
-    def zero_grad(self):
-        for p in self.parameters():
-            p.zero_grad()
-
 
 def fan_in_uniform(rng: np.random.Generator, shape: tuple, fan_in: int, dtype) -> np.ndarray:
     bound = 1.0 / np.sqrt(fan_in)

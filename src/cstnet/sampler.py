@@ -77,23 +77,15 @@ def epoch_identities(dataset: VideoDataset, p: int, steps: int,
 
 
 def pk_sample(dataset: VideoDataset, p: int, k: int, t: int,
-              rng: np.random.Generator, identities=None) -> PkBatch:
-    """K clips of each of P identities: ``identities`` if given, else P drawn at random."""
+              rng: np.random.Generator, identities) -> PkBatch:
+    """K clips of each of the P distinct train ``identities``."""
     by_identity = _train_identities(dataset)
-    if len(by_identity) < p:
-        raise ContractError(f"need at least {p} identities with train sequences, "
-                            f"have {len(by_identity)}")
-    if not by_identity:
-        raise ContractError("dataset has no train split")
-    if identities is None:
-        chosen = rng.choice(np.sort(np.array(list(by_identity))), size=p, replace=False)
-    else:
-        chosen = np.asarray(identities)
-        if chosen.shape != (p,) or len(set(chosen.tolist())) != p:
-            raise ContractError(f"need {p} distinct identities, got {chosen.tolist()}")
-        missing = [int(i) for i in chosen if int(i) not in by_identity]
-        if missing:
-            raise ContractError(f"identities {missing} have no train sequences")
+    chosen = np.asarray(identities)
+    if chosen.shape != (p,) or len(set(chosen.tolist())) != p:
+        raise ContractError(f"need {p} distinct identities, got {chosen.tolist()}")
+    missing = [int(i) for i in chosen if int(i) not in by_identity]
+    if missing:
+        raise ContractError(f"identities {missing} have no train sequences")
     clips, labels, provenance = [], [], []
     for identity in chosen:
         pool = by_identity[int(identity)]

@@ -67,10 +67,11 @@ class OpRecord:
     itself a recorded op result, and otherwise the leaf ``Tensor``
     (parameters, constants, clips), whose ``grad`` the engine writes.
     ``backward_fn(grad, saved)`` returns one gradient array (or None) per
-    input; it must consume only its own ``saved`` values.  Each returned
-    array is either freshly allocated for that input or a view of ``grad``
-    itself (``add`` passes ``grad`` through, ``reshape`` views it), so the
-    engine copies before it sums into one that may share ``grad``'s memory.
+    input; it must consume only its own ``saved`` values.  A returned array
+    may be ``grad`` itself or a view of it (``add`` passes ``grad`` through,
+    ``reshape`` views it), so the engine never writes into one: where two
+    gradients of the same input meet, it sums them into a new array of the
+    first one's dtype.
     """
 
     __slots__ = ("op_kind", "inputs", "saved", "backward_fn")
@@ -172,9 +173,6 @@ class Tensor:
                         stack.append((parent, False))
 
         flowing: dict[int, np.ndarray] = {id(start): np.ones_like(self.data)}
-        # keys whose stored gradient may be (a view of) a rule's upstream g,
-        # which other keys can hold too; the first sum into one is out of place
-        borrowed: set[int] = set()
         for node in reversed(topo):
             g = flowing.pop(id(node), None)
             if g is None:
@@ -190,53 +188,11 @@ class Tensor:
                 if ig is None or not parent.requires_grad:
                     continue
                 key = id(parent)
-                if key not in flowing:
+                stored = flowing.get(key)
+                if stored is None:
                     flowing[key] = ig
-                    if np.may_share_memory(ig, g):
-                        borrowed.add(key)
-                elif key in borrowed:
-                    stored = flowing[key]
-                    flowing[key] = np.add(stored, ig, out=np.empty_like(stored))
-                    borrowed.discard(key)
                 else:
-                    flowing[key] += ig
-
-    # -- operator sugar --------------------------------------------------------
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(self, other)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def reshape(self, *shape):
-        return reshape(self, shape[0] if len(shape) == 1 and isinstance(shape[0], (tuple, list)) else shape)
-
-    def permute(self, *axes):
-        return permute(self, axes[0] if len(axes) == 1 and isinstance(axes[0], (tuple, list)) else axes)
-
-    def sum(self, axis=None, keepdims=False):
-        return tsum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return tmean(self, axis=axis, keepdims=keepdims)
+                    flowing[key] = np.add(stored, ig, out=np.empty_like(stored))
 
 
 def constant(data, dtype=None) -> Tensor:

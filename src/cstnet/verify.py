@@ -20,6 +20,7 @@ regressions are visible even while they still pass.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +30,7 @@ from .csl import CoSaliencyLearning, CslConfig
 from .errors import ContractError, DimensionError
 from .gradcheck import check_op, max_gradcheck_error
 from .losses import batch_hard_triplet, label_smooth_ce
-from .metrics import compute_cmc, compute_map
+from .metrics import ranking_metrics
 from .model import Cstnet, CstnetConfig, pairwise_distances
 from .nn import BatchNorm2d
 from .optim import Adam, AdamConfig
@@ -505,8 +506,7 @@ def _metric_oracles() -> list[PropertyResult]:
         max_rank = instance[0].shape[1]
         ref = rank_loops(*instance, max_rank)
         try:
-            got_cmc = compute_cmc(*instance, max_rank)
-            got_map = compute_map(*instance)
+            got = ranking_metrics(*instance, max_rank)
         except ContractError:       # documented: no query has a valid cross-camera match
             skipped += 1
             disagreements += ref is not None
@@ -515,9 +515,9 @@ def _metric_oracles() -> list[PropertyResult]:
             disagreements += 1
             continue
         ref_cmc, ref_map = ref
-        worst_cmc = max(worst_cmc, abs(got_cmc - ref_cmc).max())
-        worst_map = max(worst_map, abs(got_map - ref_map))
-        mono_ok = mono_ok and bool((np.diff(got_cmc) >= -1e-15).all())
+        worst_cmc = max(worst_cmc, abs(got.cmc - ref_cmc).max())
+        worst_map = max(worst_map, abs(got.map - ref_map))
+        mono_ok = mono_ok and bool((np.diff(got.cmc) >= -1e-15).all())
     checked = skipped < len(instances) and disagreements == 0
     detail = (f"{len(instances)} instances, {skipped} skipped (no valid match), "
               f"{disagreements} disagree with oracle")
@@ -574,7 +574,7 @@ def _layer_oracles() -> list[PropertyResult]:
 
 def _conv2d_oracle(rng) -> list[PropertyResult]:
     worst = {np.float64: 0.0, np.float32: 0.0}
-    dtypes_kept = True
+    well_formed = True
     for _, k, stride, padding, with_bias in _CONV_CASES:
         x = rng.standard_normal((2, 3, 7, 5))
         w = rng.standard_normal((4, 3, k, k))
@@ -584,12 +584,13 @@ def _conv2d_oracle(rng) -> list[PropertyResult]:
             got = T.conv2d(Tensor(x.astype(dtype)), Tensor(w.astype(dtype)),
                            None if b is None else Tensor(b.astype(dtype)),
                            stride=stride, padding=padding).data
-            dtypes_kept = dtypes_kept and got.dtype == dtype and got.shape == ref.shape
+            well_formed = (well_formed and got.dtype == dtype and got.shape == ref.shape
+                           and got.flags.c_contiguous)
             err = abs(got - ref).max() if got.shape == ref.shape else np.inf
             worst[dtype] = max(worst[dtype], err)
     detail = f"{len(_CONV_CASES)} geometries: " + ", ".join(name for name, *_ in _CONV_CASES)
     return [PropertyResult(f"oracle/conv2d_loops{suffix}",
-                           dtypes_kept and worst[dtype] <= _CONV_TOL[dtype], worst[dtype],
+                           well_formed and worst[dtype] <= _CONV_TOL[dtype], worst[dtype],
                            _CONV_TOL[dtype], detail=detail)
             for dtype, suffix in ((np.float64, ""), (np.float32, "_f32"))]
 
@@ -683,26 +684,10 @@ def _loss_and_misc_oracles() -> list[PropertyResult]:
 
 def run_verification(inject_fault: str | None = None) -> list[PropertyResult]:
     """All property checks; optionally with a deliberately broken build."""
-    if inject_fault:
-        faults.inject(inject_fault)
-    try:
-        results = []
-        results += _op_gradients()
-        results += _composite_gradients()
-        results += _ncc_properties()
-        results += _volume_oracles()
-        results += _fused_cosaliency_oracle()
-        results += _attention_invariants()
-        results += _metric_oracles()
-        results += _layer_oracles()
-        results += _loss_and_misc_oracles()
-        return results
-    finally:
-        faults.clear()
-
-
-def run_gradcheck_suite() -> list[PropertyResult]:
-    return _op_gradients() + _composite_gradients()
+    with faults.injected(inject_fault) if inject_fault else nullcontext():
+        return (_op_gradients() + _composite_gradients() + _ncc_properties()
+                + _volume_oracles() + _fused_cosaliency_oracle() + _attention_invariants()
+                + _metric_oracles() + _layer_oracles() + _loss_and_misc_oracles())
 
 
 def main_report(results: list[PropertyResult], checks_s: float, print_fn=print) -> bool:

@@ -182,6 +182,12 @@ class TestTrain:
         ("--lr-decay-every", "0", "lr_decay_every", "must be >= "),
         ("--stage-strides", "0,2,2,2,2", "stage_strides", "must be >= "),
         ("--stage-channels", "0,8,8,8,8", "stage_channels", "must be >= "),
+        ("--csl-channels", "0", "csl_channels", "must be >= 1, got 0"),
+        ("--csl-pool-h", "-1", "csl_pool_h", "must be >= 1, got -1"),
+        ("--csl-pool-w", "0", "csl_pool_w", "must be >= 1, got 0"),
+        ("--sti-channels", "-3", "sti_channels", "must be >= 1, got -3"),
+        ("--sti-pool-h", "0", "sti_pool_h", "must be >= 1, got 0"),
+        ("--sti-pool-w", "-2", "sti_pool_w", "must be >= 1, got -2"),
         ("--flip-p", "3", "flip_p", "must be in [0, 1], got 3.0"),
         ("--erase-p", "-2", "erase_p", "must be in [0, 1], got -2.0"),
         ("--margin", "-1", "margin", "must be >= 0, got -1.0"),
@@ -271,11 +277,6 @@ class TestEval:
 
 
 class TestVerifyCommand:
-    def test_gradcheck_command_passes(self, capsys):
-        assert main(["gradcheck"]) == 0
-        out = capsys.readouterr().out
-        assert "PASS" in out and "FAIL" not in out
-
     def test_injected_fault_fails_with_exit_two(self, capsys):
         # the fault negates the correlation on the model's path only, so exactly
         # the check of that path against the oracle fails
@@ -287,7 +288,7 @@ class TestVerifyCommand:
     def test_unknown_fault_name_is_config_error(self, capsys):
         assert main(["verify", "--inject-fault", "bogus"]) == 1
 
-    @pytest.mark.parametrize("command", ["verify", "gradcheck"])
+    @pytest.mark.parametrize("command", ["verify"])      # the commands without an output dir
     def test_config_file_is_read_and_out_is_not_a_key(self, tmp_path, capsys, command):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("out = somewhere\n")

@@ -265,5 +265,5 @@ class TestFaultInjection:
             assert abs(ncc(p, 2.0 * p + 0.5) - 1.0) <= 1e-3
 
     def test_unknown_fault_rejected(self):
-        with pytest.raises(ValueError):
-            faults.inject("made-up-fault")
+        with pytest.raises(ValueError), faults.injected("made-up-fault"):
+            pass

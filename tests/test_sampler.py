@@ -20,6 +20,12 @@ def toy_dataset(num_ids, seqs_per_id, length, h=8, w=4, split="train"):
     return VideoDataset(seqs)
 
 
+def sample(ds, p, k, t, seed):
+    """A PK batch of the first P identities that an epoch deals with ``seed``."""
+    rng = np.random.default_rng(seed)
+    return pk_sample(ds, p, k, t, rng, identities=epoch_identities(ds, p, 1, rng)[0])
+
+
 class TestFrameSampling:
     def test_even_spacing_with_offset(self):
         rng = np.random.default_rng(0)
@@ -47,7 +53,7 @@ class TestFrameSampling:
 class TestPkSample:
     def test_paper_scale_batch_composition(self):
         ds = toy_dataset(num_ids=20, seqs_per_id=5, length=12)
-        batch = pk_sample(ds, p=16, k=4, t=8, rng=np.random.default_rng(0))
+        batch = sample(ds, p=16, k=4, t=8, seed=0)
         assert batch.clips.shape == (64, 8, 3, 8, 4)          # 64 clips, 512 frames
         assert batch.clips.shape[0] * batch.clips.shape[1] == 512
         ids, counts = np.unique(batch.labels, return_counts=True)
@@ -55,8 +61,8 @@ class TestPkSample:
 
     def test_forced_case_is_deterministic(self):
         ds = toy_dataset(num_ids=4, seqs_per_id=1, length=8)
-        a = pk_sample(ds, p=4, k=2, t=8, rng=np.random.default_rng(0))
-        b = pk_sample(ds, p=4, k=2, t=8, rng=np.random.default_rng(99))
+        a = sample(ds, p=4, k=2, t=8, seed=0)
+        b = sample(ds, p=4, k=2, t=8, seed=99)
         # every clip uses the identity's single sequence and all 8 frames in order
         for batch in (a, b):
             for src in batch.provenance:
@@ -65,8 +71,8 @@ class TestPkSample:
 
     def test_fixed_seed_reproduces_batch(self):
         ds = toy_dataset(num_ids=10, seqs_per_id=3, length=15)
-        a = pk_sample(ds, p=6, k=2, t=4, rng=np.random.default_rng(5))
-        b = pk_sample(ds, p=6, k=2, t=4, rng=np.random.default_rng(5))
+        a = sample(ds, p=6, k=2, t=4, seed=5)
+        b = sample(ds, p=6, k=2, t=4, seed=5)
         assert np.array_equal(a.clips, b.clips)
         assert np.array_equal(a.labels, b.labels)
         assert a.provenance == b.provenance
@@ -74,11 +80,11 @@ class TestPkSample:
     def test_too_few_identities_rejected(self):
         ds = toy_dataset(num_ids=3, seqs_per_id=2, length=8)
         with pytest.raises(ContractError):
-            pk_sample(ds, p=4, k=2, t=4, rng=np.random.default_rng(0))
+            pk_sample(ds, p=4, k=2, t=4, rng=np.random.default_rng(0), identities=[0, 1, 2, 3])
 
     def test_only_train_split_is_sampled(self):
         ds = generate_synthetic(SynthSpec(num_identities=8, cams=2, seqs_per_cam=2, seed=0))
-        batch = pk_sample(ds, p=4, k=2, t=4, rng=np.random.default_rng(0))
+        batch = sample(ds, p=4, k=2, t=4, seed=0)
         for src in batch.provenance:
             assert ds.sequences[src.sequence_index].split == "train"
 
@@ -88,7 +94,7 @@ class TestPkSample:
         p = min(2, num_ids)
         k = 3
         t = 4
-        batch = pk_sample(ds, p=p, k=k, t=t, rng=np.random.default_rng(seed))
+        batch = sample(ds, p=p, k=k, t=t, seed=seed)
         assert batch.clips.shape == (p * k, t, 3, 8, 4)
         ids, counts = np.unique(batch.labels, return_counts=True)
         assert len(ids) == p and (counts == k).all()

@@ -9,7 +9,7 @@ from cstnet import tensor as T
 from cstnet.errors import DimensionError, NumericError
 from cstnet.gradcheck import check_op
 from cstnet.tensor import Tensor
-from cstnet.verify import batch_norm_reference, conv2d_loops, matmul_loops, pool_loops
+from cstnet.verify import batch_norm_reference, matmul_loops, pool_loops
 
 
 class TestMatmul:
@@ -85,23 +85,6 @@ class TestConv2d:
         x = rng.standard_normal((2, 2, 5, 5))
         out = T.conv2d(Tensor(x), Tensor(np.zeros((4, 2, 3, 3))), padding=1)
         assert np.array_equal(out.data, np.zeros((2, 4, 5, 5)))
-
-    def test_naive_sliding_window_oracle(self, rng):
-        # every geometry the model builds: 3x3 stride 1 and 2 (padding 1),
-        # 1x1 stride 1 with a bias, 1x1 stride 2; N=2, C_in=3, a 7x5 map
-        cases = ((3, 1, 1, False), (3, 2, 1, False), (1, 1, 0, True), (1, 2, 0, False))
-        for k, stride, padding, with_bias in cases:
-            x = rng.standard_normal((2, 3, 7, 5))
-            w = rng.standard_normal((4, 3, k, k))
-            b = rng.standard_normal(4) if with_bias else None
-            ref = conv2d_loops(x, w, b, stride, padding)
-            for dtype, tol in ((np.float64, 1e-10), (np.float32, 1e-5)):
-                got = T.conv2d(Tensor(x.astype(dtype)), Tensor(w.astype(dtype)),
-                               None if b is None else Tensor(b.astype(dtype)),
-                               stride=stride, padding=padding).data
-                assert got.dtype == dtype and got.shape == ref.shape
-                assert got.flags.c_contiguous
-                assert np.abs(got - ref).max() < tol, (k, stride, dtype)
 
     def test_strided_extent_formula(self, rng):
         x = rng.standard_normal((1, 1, 7, 5))
