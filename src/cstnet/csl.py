@@ -17,9 +17,8 @@ ordered by source frame ascending skipping t, then row-major position /
 channel index), and a 1x1 "summarize" convolution collapses each volume into
 a spatial logit map (1 x H x W) and a channel logit vector (C x 1 x 1).  The
 co-saliency gate is ``sigmoid(spatial_logits * channel_logits)`` broadcast to
-C x H x W and is multiplied elementwise with the input features.
-Single-frame clips have no co-frames: both logit maps are zero, a neutral 0.5
-gate.
+C x H x W and is multiplied elementwise with the input features.  A clip
+needs co-frames, so the module is built only for clips of 2 or more frames.
 
 The summarize convolution is linear in the volume, so the forward never
 builds one.  With ``nd`` the standardized descriptors (n per frame, d
@@ -63,8 +62,6 @@ class CslConfig:
         if self.h_l > feat_h or self.w_l > feat_w:
             raise ConfigError(f"reduced extents ({self.h_l}, {self.w_l}) exceed feature "
                               f"map ({feat_h}, {feat_w})")
-        if self.h_l * self.w_l > feat_h * feat_w:
-            raise ConfigError("reduced spatial size must not exceed the feature map size")
         if self.h_l * self.w_l < 2:
             raise ConfigError("channel descriptors need at least 2 spatial positions")
         if self.ncc_eps <= 0:
@@ -99,10 +96,6 @@ def _standardized_channel(desc: Tensor, eps: float) -> Tensor:
     return standardize(flat, axis=-1, eps=eps)
 
 
-def _gate(z_s: Tensor, z_c: Tensor) -> CoSaliencyAttention:
-    return CoSaliencyAttention(z_s=z_s, z_c=z_c, z=sigmoid(mul(z_s, z_c)))
-
-
 def _co_frame_selection(frames: int, dtype) -> np.ndarray:
     """(T*T, T-1) 0/1 matrix: row t*T + k selects the volume slot of co-frame k
     in frame t's volume (k ascending, skipping t); rows with k == t are zero."""
@@ -133,13 +126,6 @@ def _fused_logits(nd: Tensor, summarize: Conv2d) -> Tensor:
     return add(corr, summarize.bias)
 
 
-def apply_cosaliency(f: Tensor, attention: CoSaliencyAttention) -> Tensor:
-    """Gate features with the combined co-saliency map (pure multiplication)."""
-    if f.shape != attention.z.shape:
-        raise DimensionError(f"feature/gate shape mismatch: {f.shape} vs {attention.z.shape}")
-    return mul(f, attention.z)
-
-
 class CoSaliencyLearning(Module):
     """Correlation-driven spatial-channel gating for one backbone stage."""
 
@@ -147,8 +133,8 @@ class CoSaliencyLearning(Module):
                  rng: np.random.Generator, dtype=np.float32):
         super().__init__()
         cfg.validate(feat_h, feat_w)
-        if clip_len < 1:
-            raise ConfigError(f"clip_len must be >= 1, got {clip_len}")
+        if clip_len < 2:
+            raise ConfigError(f"clip_len must be >= 2 for co-saliency, got {clip_len}")
         self.cfg = cfg
         self.clip_len = clip_len
         self.feat_h = feat_h
@@ -157,11 +143,9 @@ class CoSaliencyLearning(Module):
         self.bn_spatial = BatchNorm2d(cfg.c_l, dtype=dtype)
         self.reduce_channel = Conv2d(cfg.c_in, cfg.c_in, 1, rng=rng, dtype=dtype)
         self.bn_channel = BatchNorm2d(cfg.c_in, dtype=dtype)
-        if clip_len >= 2:
-            n_spatial = (clip_len - 1) * feat_h * feat_w
-            n_channel = (clip_len - 1) * cfg.c_in
-            self.summarize_spatial = Conv2d(n_spatial, 1, 1, rng=rng, dtype=dtype)
-            self.summarize_channel = Conv2d(n_channel, 1, 1, rng=rng, dtype=dtype)
+        self.summarize_spatial = Conv2d((clip_len - 1) * feat_h * feat_w, 1, 1, rng=rng,
+                                        dtype=dtype)
+        self.summarize_channel = Conv2d((clip_len - 1) * cfg.c_in, 1, 1, rng=rng, dtype=dtype)
 
     def reduce_dims(self, f: Tensor) -> tuple[Tensor, Tensor]:
         """(B, T, C, H, W) -> spatial (B, T, C_L, H, W), channel (B, T, C, H_L, W_L)."""
@@ -170,22 +154,12 @@ class CoSaliencyLearning(Module):
         b, t, c, h, w = f.shape
         if c != self.cfg.c_in:
             raise DimensionError(f"expected {self.cfg.c_in} channels, got {c}")
-        if self.cfg.h_l > h or self.cfg.w_l > w:
-            raise ConfigError(f"reduced extents ({self.cfg.h_l}, {self.cfg.w_l}) exceed "
-                              f"feature map ({h}, {w})")
         frames = reshape(f, (b * t, c, h, w))
         sd = relu(self.bn_spatial(self.reduce_spatial(frames)))
         pooled = adaptive_avg_pool2d(frames, self.cfg.h_l, self.cfg.w_l)
         cd = relu(self.bn_channel(self.reduce_channel(pooled)))
         return (reshape(sd, (b, t, self.cfg.c_l, h, w)),
                 reshape(cd, (b, t, c, self.cfg.h_l, self.cfg.w_l)))
-
-    def _neutral_attention(self, batch: int) -> CoSaliencyAttention:
-        """Zero logits and the 0.5 gate of a clip without co-frames."""
-        dtype = self.reduce_spatial.weight.dtype
-        z_s = Tensor(np.zeros((batch, 1, 1, self.feat_h, self.feat_w), dtype=dtype))
-        z_c = Tensor(np.zeros((batch, 1, self.cfg.c_in, 1, 1), dtype=dtype))
-        return _gate(z_s, z_c)
 
     def attention(self, f: Tensor) -> CoSaliencyAttention:
         """Compute the co-saliency gate for (B, T, C, H, W) stage features."""
@@ -196,13 +170,11 @@ class CoSaliencyLearning(Module):
             raise DimensionError(f"module was built for {self.feat_h}x{self.feat_w} maps, "
                                  f"got {h}x{w}")
         sd, cd = self.reduce_dims(f)
-        if t == 1:
-            return self._neutral_attention(b)
         nd_s = _standardized_spatial(sd, self.cfg.ncc_eps)            # (B, T, HW, C_L)
         nd_c = _standardized_channel(cd, self.cfg.ncc_eps)            # (B, T, C, H_L*W_L)
         z_s = reshape(_fused_logits(nd_s, self.summarize_spatial), (b, t, 1, h, w))
         z_c = reshape(_fused_logits(nd_c, self.summarize_channel), (b, t, c, 1, 1))
-        return _gate(z_s, z_c)
+        return CoSaliencyAttention(z_s=z_s, z_c=z_c, z=sigmoid(mul(z_s, z_c)))
 
     def forward(self, f: Tensor) -> Tensor:
-        return apply_cosaliency(f, self.attention(f))
+        return mul(f, self.attention(f).z)

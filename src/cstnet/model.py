@@ -57,6 +57,9 @@ class CstnetConfig:
             raise ConfigError("num_identities must be >= 1")
         if self.clip_len < 1:
             raise ConfigError("clip_len must be >= 1")
+        if self.with_csl and self.insertion_points and self.clip_len < 2:
+            raise ConfigError(f"clip_len must be >= 2 with CSL inserted (it correlates "
+                              f"co-frames), got {self.clip_len}")
         if len(self.stage_channels) != 5 or len(self.stage_strides) != 5:
             raise ConfigError("exactly 5 stage channel counts and strides are required")
         if min(self.stage_channels) < 1:

@@ -5,9 +5,10 @@ The spatial relation block attends, within each frame, from every position to
 a pooled H_1 x W_1 set of key/value positions (query and key projections share
 parameters; keys and values are adaptively pooled).  The temporal relation
 block attends, at each position, across the T frames.  Both relation maps are
-softmax-normalized over the key axis.  Each relation feature goes through a
-zero-initialized output projection, so a freshly built block is an exact
-identity map and can be inserted mid-backbone without perturbing it.
+softmax-normalized over the key axis.  Each relation feature is a
+zero-initialized output projection with no nonlinearity after it, as in the
+non-local block (arXiv 1711.07971): a fresh block is an exact identity map,
+and the projection still receives a gradient.
 
 Fusion computes one sigmoid gate vector per clip and per relation feature,
 each derived from the *other* feature's global average pool, and sums the
@@ -22,8 +23,8 @@ import numpy as np
 
 from .errors import ConfigError, DimensionError
 from .nn import Conv2d, Linear, Module
-from .tensor import (Tensor, adaptive_avg_pool2d, add, matmul, mul, permute, relu,
-                     reshape, sigmoid, softmax, tmean)
+from .tensor import (Tensor, adaptive_avg_pool2d, add, matmul, mul, permute, reshape, sigmoid,
+                     softmax, tmean)
 
 
 @dataclass(frozen=True)
@@ -41,8 +42,6 @@ class StiConfig:
         if self.h_1 > feat_h or self.w_1 > feat_w:
             raise ConfigError(f"pooled extents ({self.h_1}, {self.w_1}) exceed feature "
                               f"map ({feat_h}, {feat_w})")
-        if self.h_1 * self.w_1 > feat_h * feat_w:
-            raise ConfigError("pooled key/value size must not exceed the feature map size")
 
 
 @dataclass
@@ -96,7 +95,7 @@ class SpatialTemporalInteraction(Module):
         scores = matmul(permute(k, (0, 2, 1)), q)                 # (BT, H1W1, HW)
         m_s = softmax(scores, axis=1)                             # keys normalized
         att = reshape(matmul(v, m_s), (b * t, c1, h, w))
-        f_s = relu(self.out_spatial(att))
+        f_s = self.out_spatial(att)
         return reshape(f_s, (b, t, c, h, w)), reshape(m_s, (b, t, h1 * w1, h * w))
 
     def temporal_relation(self, f: Tensor) -> tuple[Tensor, Tensor]:
@@ -110,7 +109,7 @@ class SpatialTemporalInteraction(Module):
         scores = matmul(qk, permute(qk, (0, 2, 1)))               # (BHW, Tkey, Tquery)
         m_t = softmax(scores, axis=1)                             # key frames normalized
         att = permute(matmul(permute(v, (0, 2, 1)), m_t), (0, 2, 1))   # (BHW, T, C1)
-        f_t = relu(self.out_temporal(att))
+        f_t = self.out_temporal(att)
         f_t = permute(reshape(f_t, (b, h, w, t, c)), (0, 3, 4, 1, 2))
         return f_t, reshape(m_t, (b, h * w, t, t))
 

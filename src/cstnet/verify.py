@@ -6,16 +6,17 @@ numpy and independent of the engine: the scalar NCC (``ncc``) and the
 co-saliency correlation volumes built from it (``build_spatial_volume``,
 ``build_channel_volume``, composed by ``materialized_attention``), the matrix
 product (``matmul_loops``), cross-correlation (``conv2d_loops``), adaptive
-average pooling (``pool_loops``), batch norm's output and running statistics
+average pooling (``pool_loops``), the STI relation maps and features
+(``sti_relations_loops``), batch norm's output and running statistics
 (``batch_norm_reference``), CMC and mAP (``rank_loops``) and the batch-hard
 triplet loss (``batch_hard_triplet_loops``).  ``cstnet verify`` and
 the tests compare the engine and the model against them; the ``ncc/*`` and
 ``oracle/*_volume`` properties check the oracles themselves.  Every differentiable operation and
 composite is also checked against central finite differences, and batch norm
 against a float64 reference and a graph of simpler ops.  The structural
-invariants (attention normalization, gate bounds, zero-init identity, CMC
-monotonicity) are measured directly.  Each check reports its measured error so
-regressions are visible even while they still pass.
+invariants (attention normalization, gate bounds, zero-init identity, no dead
+parameter, CMC monotonicity) are measured directly.  Each check reports its
+measured error so regressions are visible even while they still pass.
 """
 
 from __future__ import annotations
@@ -177,6 +178,45 @@ def pool_loops(x: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     return out
 
 
+def sti_relations_loops(block: SpatialTemporalInteraction, f):
+    """The STI relations of (B, T, C, H, W) features by their definition, in
+    float64: per frame, the shared query/key and the value projections, keys
+    and values pooled by ``pool_loops``, a softmax over the keys and the output
+    projection; per position, the same across frames, unpooled.  Returns
+    (f_s, f_t, m_s, m_t) shaped as the fields of ``block.relations(f)``."""
+    f = np.asarray(f, np.float64)
+    b, t, c, h, w = f.shape
+    c1, h1, w1 = block.cfg.c_1, block.cfg.h_1, block.cfg.w_1
+
+    def project(layer, x):                  # a 1x1 projection of (C_in, n) columns
+        weight = layer.weight.data.astype(np.float64)
+        return weight.reshape(weight.shape[0], -1) @ x + layer.bias.data[:, None]
+
+    def attend(queries, keys, values):      # the softmax runs over the keys
+        scores = keys.T @ queries
+        m = np.exp(scores - scores.max(axis=0))
+        m /= m.sum(axis=0)
+        return m, values @ m
+
+    f_s, f_t = np.zeros(f.shape), np.zeros(f.shape)
+    m_s, m_t = np.zeros((b, t, h1 * w1, h * w)), np.zeros((b, h * w, t, t))
+    for i in range(b):
+        for k in range(t):
+            x = f[i, k].reshape(c, h * w)
+            qk, v = project(block.qk_spatial, x), project(block.v_spatial, x)
+            keys, values = (pool_loops(a.reshape(1, c1, h, w), h1, w1).reshape(c1, h1 * w1)
+                            for a in (qk, v))
+            m_s[i, k], att = attend(qk, keys, values)
+            f_s[i, k] = project(block.out_spatial, att).reshape(c, h, w)
+        for y in range(h):
+            for x in range(w):
+                frames = f[i, :, :, y, x].T                             # (C, T)
+                qk = project(block.qk_temporal, frames)
+                m_t[i, y * w + x], att = attend(qk, qk, project(block.v_temporal, frames))
+                f_t[i, :, :, y, x] = project(block.out_temporal, att).T
+    return f_s, f_t, m_s, m_t
+
+
 def rank_loops(dist, qid, gid, qcam, gcam, max_rank: int):
     """CMC and mAP by sorting each query's gallery on (distance, index), with
     entries of the query's identity and camera dropped.  Queries left without
@@ -288,6 +328,15 @@ def _op_gradients() -> list[PropertyResult]:
     return results
 
 
+# the micro model of ``grad/micro_model`` and ``invariant/no_dead_parameters``:
+# CSL and STI at stages 2-4, float64
+_MICRO_MODEL = CstnetConfig(num_identities=4, clip_len=2, frame_h=16, frame_w=8,
+                            stage_channels=(4, 8, 8, 8, 8), embedding_dim=8,
+                            csl_channels=4, csl_pool_h=2, csl_pool_w=2,
+                            sti_channels=4, sti_pool_h=2, sti_pool_w=1,
+                            dtype="f64", seed=3)
+
+
 def _composite_gradients() -> list[PropertyResult]:
     rng = np.random.default_rng(23)
     results = []
@@ -312,12 +361,7 @@ def _composite_gradients() -> list[PropertyResult]:
                               rng=np.random.default_rng(6))
     results.append(PropertyResult("grad/sti_forward", err <= 1e-4, err, 1e-4))
 
-    cfg = CstnetConfig(num_identities=4, clip_len=2, frame_h=16, frame_w=8,
-                       stage_channels=(4, 8, 8, 8, 8), embedding_dim=8,
-                       csl_channels=4, csl_pool_h=2, csl_pool_w=2,
-                       sti_channels=4, sti_pool_h=2, sti_pool_w=1,
-                       dtype="f64", seed=3)
-    model = Cstnet(cfg)
+    model = Cstnet(_MICRO_MODEL)
     for mod in (model.sti2, model.sti3, model.sti4):
         mod.out_spatial.weight.data = 0.3 * np.random.default_rng(8).standard_normal(
             mod.out_spatial.weight.shape)
@@ -477,6 +521,48 @@ def _attention_invariants() -> list[PropertyResult]:
     ident = abs(out.data - x.data).max()
     results.append(PropertyResult("invariant/zero_init_sti_identity", ident <= 1e-12, ident, 1e-12))
     return results
+
+
+def _sti_oracle() -> list[PropertyResult]:
+    """``relations()`` against ``sti_relations_loops``, with random output
+    projections so that the relation features are not all zero."""
+    rng = np.random.default_rng(59)
+    worst = 0.0
+    for t_len in (1, 2, 3):
+        for h, w in ((4, 4), (5, 3)):
+            block = SpatialTemporalInteraction(StiConfig(c_in=8, c_1=4, h_1=2, w_1=2),
+                                               rng=rng, dtype=np.float64)
+            for p in (*block.out_spatial.parameters(), *block.out_temporal.parameters()):
+                p.data = 0.4 * rng.standard_normal(p.shape)
+            f = rng.standard_normal((2, t_len, 8, h, w))
+            with no_grad():
+                rel = block.relations(Tensor(f))
+            got = (rel.f_s.data, rel.f_t.data, rel.m_s.data, rel.m_t.data)
+            worst = max(worst, *(abs(g - r).max() for g, r in zip(got, sti_relations_loops(block, f))))
+    return [PropertyResult("oracle/sti_relations", worst <= 1e-10, worst, 1e-10,
+                           detail="f_s, f_t, m_s, m_t; T 1-3 on 4x4 and 5x3 maps")]
+
+
+def _dead_parameters() -> list[PropertyResult]:
+    """Every parameter of the micro model at its real init has a gradient that
+    is not all zero on the second step of training a PK batch.  The first
+    step is needed: at init the zero STI output projections pass no gradient
+    to the weights upstream of them."""
+    model = Cstnet(_MICRO_MODEL)
+    params = dict(model.named_parameters())
+    optimizer = Adam(params)
+    clips, labels = np.random.default_rng(67).random((4, 2, 3, 16, 8)), np.array([0, 0, 1, 1])
+    for step in range(2):
+        optimizer.zero_grad()
+        feats, logits = model(clips)
+        T.add(batch_hard_triplet(feats, labels, 0.3),
+              label_smooth_ce(logits, labels, 0.1)).backward()
+        if step == 0:
+            optimizer.step()
+    dead = [name for name, p in params.items() if p.grad is None or not p.grad.any()]
+    return [PropertyResult("invariant/no_dead_parameters", not dead, len(dead), 0.0,
+                           detail=f"{len(dead)} of {len(params)} parameters"
+                           + "".join(f", {name}" for name in dead))]
 
 
 def _metric_oracles() -> list[PropertyResult]:
@@ -687,7 +773,8 @@ def run_verification(inject_fault: str | None = None) -> list[PropertyResult]:
     with faults.injected(inject_fault) if inject_fault else nullcontext():
         return (_op_gradients() + _composite_gradients() + _ncc_properties()
                 + _volume_oracles() + _fused_cosaliency_oracle() + _attention_invariants()
-                + _metric_oracles() + _layer_oracles() + _loss_and_misc_oracles())
+                + _sti_oracle() + _dead_parameters() + _metric_oracles() + _layer_oracles()
+                + _loss_and_misc_oracles())
 
 
 def main_report(results: list[PropertyResult], checks_s: float, print_fn=print) -> bool:

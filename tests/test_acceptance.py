@@ -70,10 +70,12 @@ def test_oracle_equivalence_ranking(verify_run):
 
 def test_structural_invariants(verify_run):
     """Zero-init STI identity <= 1e-12; softmax slices sum to 1 +- 1e-6;
-    co-saliency gates strictly inside (0, 1); CMC monotone."""
+    co-saliency gates strictly inside (0, 1); CMC monotone; no parameter of
+    the micro model has an all-zero gradient after one training step."""
     report_properties("structural-invariants", verify_run,
                       ("invariant/zero_init_sti_identity", "invariant/attention_normalized",
-                       "invariant/gate_in_unit_interval", "invariant/cmc_monotone"))
+                       "invariant/gate_in_unit_interval", "invariant/cmc_monotone",
+                       "invariant/no_dead_parameters"))
 
 
 @pytest.mark.slow

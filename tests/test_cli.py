@@ -188,6 +188,7 @@ class TestTrain:
         ("--sti-channels", "-3", "sti_channels", "must be >= 1, got -3"),
         ("--sti-pool-h", "0", "sti_pool_h", "must be >= 1, got 0"),
         ("--sti-pool-w", "-2", "sti_pool_w", "must be >= 1, got -2"),
+        ("--clip-len", "1", "clip_len", "must be >= 2 with CSL inserted"),
         ("--flip-p", "3", "flip_p", "must be in [0, 1], got 3.0"),
         ("--erase-p", "-2", "erase_p", "must be in [0, 1], got -2.0"),
         ("--margin", "-1", "margin", "must be >= 0, got -1.0"),

@@ -59,6 +59,12 @@ class TestConfig:
         with pytest.raises(ConfigError):
             CstnetConfig(num_identities=4, insertion_points=(0, 6))
 
+    def test_single_frame_clips_only_without_csl(self):
+        with pytest.raises(ConfigError, match="clip_len must be >= 2"):
+            micro_config(clip_len=1)
+        for overrides in ({"with_csl": False}, {"insertion_points": ()}):
+            Cstnet(micro_config(clip_len=1, **overrides))
+
     def test_round_trip_dict(self):
         cfg = CstnetConfig(num_identities=7, clip_len=3)
         assert CstnetConfig.from_dict(cfg.to_dict()) == cfg

@@ -7,6 +7,7 @@ from cstnet.errors import ConfigError, DimensionError
 from cstnet.gradcheck import max_gradcheck_error
 from cstnet.sti import SpatialTemporalInteraction, StiConfig
 from cstnet.tensor import Tensor, constant, mul, no_grad, tsum
+from cstnet.verify import sti_relations_loops
 
 
 @pytest.fixture
@@ -42,33 +43,14 @@ class TestSpatialRelation:
         assert np.abs(m_s.data.sum(axis=2) - 1.0).max() < 1e-6
 
     def test_naive_attention_oracle(self, block, rng):
-        """Recompute per frame with explicit loops from the block's weights."""
+        """Against the per-frame loops of ``verify.sti_relations_loops``."""
         randomized(block, rng)
         f = rng.standard_normal((1, 2, 8, 4, 4))
         with no_grad():
             f_s, m_s = block.spatial_relation(Tensor(f))
-        wqk = block.qk_spatial.weight.data.reshape(4, 8)
-        bqk = block.qk_spatial.bias.data
-        wv = block.v_spatial.weight.data.reshape(4, 8)
-        bv = block.v_spatial.bias.data
-        wo = block.out_spatial.weight.data.reshape(8, 4)
-        bo = block.out_spatial.bias.data
-        for t in range(2):
-            frame = f[0, t]                                     # (8, 4, 4)
-            qk = np.einsum("oc,chw->ohw", wqk, frame) + bqk[:, None, None]
-            v = np.einsum("oc,chw->ohw", wv, frame) + bv[:, None, None]
-            # adaptive 2x2 pooling of k and v
-            k_p = qk.reshape(4, 2, 2, 2, 2).mean(axis=(2, 4)).reshape(4, 4)
-            v_p = v.reshape(4, 2, 2, 2, 2).mean(axis=(2, 4)).reshape(4, 4)
-            q = qk.reshape(4, 16)
-            scores = k_p.T @ q                                  # (4, 16)
-            e = np.exp(scores - scores.max(axis=0, keepdims=True))
-            m_ref = e / e.sum(axis=0, keepdims=True)
-            att = v_p @ m_ref                                   # (4, 16)
-            out_ref = np.maximum(
-                np.einsum("oc,cp->op", wo, att) + bo[:, None], 0.0).reshape(8, 4, 4)
-            assert np.abs(m_s.data[0, t] - m_ref).max() < 1e-10
-            assert np.abs(f_s.data[0, t] - out_ref).max() < 1e-10
+        ref_f_s, _, ref_m_s, _ = sti_relations_loops(block, f)
+        assert np.abs(m_s.data - ref_m_s).max() < 1e-10
+        assert np.abs(f_s.data - ref_f_s).max() < 1e-10
 
 
 class TestTemporalRelation:
@@ -93,26 +75,14 @@ class TestTemporalRelation:
         assert np.abs(m_t.data.sum(axis=2) - 1.0).max() < 1e-6
 
     def test_naive_per_position_oracle(self, block, rng):
+        """Against the per-position loops of ``verify.sti_relations_loops``."""
         randomized(block, rng)
         f = rng.standard_normal((1, 3, 8, 2, 2))
         with no_grad():
             f_t, m_t = block.temporal_relation(Tensor(f))
-        wqk, bqk = block.qk_temporal.weight.data, block.qk_temporal.bias.data
-        wv, bv = block.v_temporal.weight.data, block.v_temporal.bias.data
-        wo, bo = block.out_temporal.weight.data, block.out_temporal.bias.data
-        for h in range(2):
-            for w in range(2):
-                x = f[0, :, :, h, w]                            # (T, C)
-                qk = x @ wqk.T + bqk                            # (T, C1)
-                v = x @ wv.T + bv
-                scores = qk @ qk.T                              # (T_key, T_query)
-                e = np.exp(scores - scores.max(axis=0, keepdims=True))
-                m_ref = e / e.sum(axis=0, keepdims=True)
-                att = (v.T @ m_ref).T                           # (T, C1)
-                out_ref = np.maximum(att @ wo.T + bo, 0.0)      # (T, C)
-                pos = h * 2 + w
-                assert np.abs(m_t.data[0, pos] - m_ref).max() < 1e-10
-                assert np.abs(f_t.data[0, :, :, h, w] - out_ref).max() < 1e-10
+        _, ref_f_t, _, ref_m_t = sti_relations_loops(block, f)
+        assert np.abs(m_t.data - ref_m_t).max() < 1e-10
+        assert np.abs(f_t.data - ref_f_t).max() < 1e-10
 
     def test_frame_permutation_equivariance(self, block, rng):
         randomized(block, rng)
