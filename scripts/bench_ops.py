@@ -9,10 +9,13 @@ The script pins BLAS and OpenMP to one thread before numpy loads.  It runs one
 forward with the three ops wrapped to keep each call's arguments, then replays
 every call ``--repeats`` times: the forward as the model called it (same
 tensors, same gradient flags) and the backward rule of its graph node on a
-fixed random upstream gradient.  Each call reports its median times and the
+fixed random upstream gradient.  Each call reports its median times, the
 bytes its graph node keeps for the backward (the unique base arrays of its
-saved values, counted as ``graph.saved_mb`` counts a whole graph); each op
-kind reports the sum over its calls, which is one forward's worth.  The JSON
+saved values, counted as ``graph.saved_mb`` counts a whole graph), and the
+transient memory of its forward and of its backward rule: the tracemalloc
+peak above the bytes live at the call's start, output included, taken in one
+untimed replay after the timed ones so tracing never slows a timed call.
+Each op kind reports the sum over its calls, which is one forward's worth.  The JSON
 also holds the thread variables, the BLAS, the CPUs this process may run on
 (nproc) and the machine's CPU count (cpu_count), as perfbench's ``env``
 lines do, and the 1-minute load average at start and end.
@@ -29,6 +32,7 @@ import argparse  # noqa: E402
 import json  # noqa: E402
 import platform  # noqa: E402
 import time  # noqa: E402
+import tracemalloc  # noqa: E402
 
 import numpy as np  # noqa: E402
 
@@ -93,8 +97,20 @@ def saved_bytes(values) -> int:
     return sum(roots.values())
 
 
-def time_call(fn, args, kwargs, repeats: int, rng) -> tuple[float, float, int]:
-    """Median forward and backward-rule milliseconds of one call, and its saved bytes."""
+def traced_peak(fn) -> tuple:
+    """``fn()`` and the tracemalloc peak of that call above the bytes live at its start."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+def time_call(fn, args, kwargs, repeats: int, rng) -> dict:
+    """Median forward and backward-rule milliseconds of one call, its saved
+    bytes and the peak bytes of its forward and of its backward rule."""
     out = fn(*args, **kwargs)
     nbytes = saved_bytes(out.op.saved)
     g = rng.standard_normal(out.shape).astype(out.dtype)
@@ -106,7 +122,11 @@ def time_call(fn, args, kwargs, repeats: int, rng) -> tuple[float, float, int]:
         start = time.perf_counter()
         out.op.backward_fn(g, out.op.saved)
         bwd.append(time.perf_counter() - start)
-    return 1e3 * float(np.median(fwd)), 1e3 * float(np.median(bwd)), nbytes
+    out, fwd_peak = traced_peak(lambda: fn(*args, **kwargs))
+    _, bwd_peak = traced_peak(lambda: out.op.backward_fn(g, out.op.saved))
+    return {"fwd_ms": round(1e3 * float(np.median(fwd)), 4),
+            "bwd_ms": round(1e3 * float(np.median(bwd)), 4), "saved_bytes": nbytes,
+            "fwd_peak_bytes": fwd_peak, "bwd_peak_bytes": bwd_peak}
 
 
 def main():
@@ -126,14 +146,13 @@ def main():
     rng = np.random.default_rng(args.seed)
     rows = []
     for op, call_args, call_kwargs in record_calls(args.seed):
-        fwd_ms, bwd_ms, nbytes = time_call(vars(tensor)[op], call_args, call_kwargs,
-                                           args.repeats, rng)
         rows.append({**describe(op, call_args, call_kwargs),
-                     "fwd_ms": round(fwd_ms, 4), "bwd_ms": round(bwd_ms, 4), "saved_bytes": nbytes})
+                     **time_call(vars(tensor)[op], call_args, call_kwargs, args.repeats, rng)})
     totals = {op: {"calls": sum(r["op"] == op for r in rows),
                    "fwd_ms": round(sum(r["fwd_ms"] for r in rows if r["op"] == op), 3),
                    "bwd_ms": round(sum(r["bwd_ms"] for r in rows if r["op"] == op), 3),
-                   "saved_bytes": sum(r["saved_bytes"] for r in rows if r["op"] == op)}
+                   **{key: sum(r[key] for r in rows if r["op"] == op)
+                      for key in ("saved_bytes", "fwd_peak_bytes", "bwd_peak_bytes")}}
               for op in OPS}
     env["load1_end"] = os.getloadavg()[0]
     result = {"env": env,
@@ -145,7 +164,9 @@ def main():
         fh.write("\n")
     for op, t in totals.items():
         print(f"{op:20s} calls={t['calls']:3d} fwd_ms={t['fwd_ms']:8.3f} bwd_ms={t['bwd_ms']:8.3f} "
-              f"saved_mb={t['saved_bytes'] / 2 ** 20:7.2f}")
+              f"saved_mb={t['saved_bytes'] / 2 ** 20:7.2f} "
+              f"fwd_peak_mb={t['fwd_peak_bytes'] / 2 ** 20:7.2f} "
+              f"bwd_peak_mb={t['bwd_peak_bytes'] / 2 ** 20:7.2f}")
     print(f"wrote {args.out}")
 
 

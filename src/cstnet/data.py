@@ -341,7 +341,8 @@ def load_dataset(path) -> VideoDataset:
         if frames.ndim != 4 or frames.shape[1] != 3:
             raise FormatError(f"{fpath}: expected a (L, 3, H, W) frame stack, "
                               f"got shape {frames.shape}")
-        sequences.append(SequenceRecord(identity, camera, split, frames.astype(np.float32)))
+        sequences.append(SequenceRecord(identity, camera, split,
+                                        frames.astype(np.float32, copy=False)))
     dataset = VideoDataset(sequences)
     try:
         dataset.validate()

@@ -56,12 +56,14 @@ def _pack_array(arr: np.ndarray) -> bytes:
 
 
 class _Reader:
+    """Reads a file's bytes front to back; ``take`` returns views, not copies."""
+
     def __init__(self, data: bytes, name: str):
-        self.data = data
+        self.data = memoryview(data)
         self.name = name
         self.offset = 0
 
-    def take(self, n: int, what: str) -> bytes:
+    def take(self, n: int, what: str) -> memoryview:
         if self.offset + n > len(self.data):
             raise FormatError(f"{self.name}: truncated while reading {what} "
                               f"at offset {self.offset}")
@@ -90,7 +92,7 @@ def read_tensor(path) -> np.ndarray:
     reader = _Reader(path.read_bytes(), str(path))
     magic = reader.take(4, "magic")
     if magic != TENSOR_MAGIC:
-        raise FormatError(f"{path}: bad magic {magic!r} at offset 0")
+        raise FormatError(f"{path}: bad magic {bytes(magic)!r} at offset 0")
     (version,) = struct.unpack("<H", reader.take(2, "version"))
     if version != FORMAT_VERSION:
         raise FormatError(f"{path}: unsupported format version {version} at offset 4")
@@ -118,20 +120,20 @@ def read_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
     reader = _Reader(path.read_bytes(), str(path))
     magic = reader.take(4, "magic")
     if magic != CHECKPOINT_MAGIC:
-        raise FormatError(f"{path}: bad magic {magic!r} at offset 0")
+        raise FormatError(f"{path}: bad magic {bytes(magic)!r} at offset 0")
     (version,) = struct.unpack("<H", reader.take(2, "version"))
     if version != FORMAT_VERSION:
         raise FormatError(f"{path}: unsupported format version {version} at offset 4")
     (echo_len,) = struct.unpack("<I", reader.take(4, "config length"))
     try:
-        config = json.loads(reader.take(echo_len, "config echo").decode("utf-8"))
+        config = json.loads(bytes(reader.take(echo_len, "config echo")).decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"{path}: corrupt config echo ({exc})") from None
     (count,) = struct.unpack("<I", reader.take(4, "tensor count"))
     state: dict[str, np.ndarray] = {}
     for _ in range(count):
         (name_len,) = struct.unpack("<H", reader.take(2, "name length"))
-        name = reader.take(name_len, "tensor name").decode("utf-8")
+        name = bytes(reader.take(name_len, "tensor name")).decode("utf-8")
         state[name] = reader.unpack_array()
     if reader.offset != len(reader.data):
         raise FormatError(f"{path}: {len(reader.data) - reader.offset} trailing bytes "

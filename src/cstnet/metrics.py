@@ -80,21 +80,28 @@ def evenly_spaced_indices(length: int, count: int) -> np.ndarray:
 
 
 def evaluate(model, dataset, clip_len: int, max_rank: int = 20) -> RankingMetrics:
-    """Embed one evenly-spaced clip per query/gallery sequence and rank."""
-    from .model import pairwise_distances     # avoid import cycle
+    """Embed one evenly-spaced clip per query/gallery sequence and rank.
+
+    Streams: the clips of one batch of ``EMBED_BATCH`` sequences are built and
+    embedded at a time, and only the embeddings are kept, so memory holds one
+    batch of clips however large the gallery is.  The batches are exactly
+    those ``embed_clips`` cuts from a whole split, so every forward, and so
+    every embedding, is the same as embedding the stacked split at once.
+    """
+    from .model import EMBED_BATCH, pairwise_distances     # avoid import cycle
 
     queries = dataset.of_split("query")
     gallery = dataset.of_split("gallery")
     if not queries or not gallery:
         raise ContractError("dataset needs both query and gallery splits")
 
-    def clips_for(seqs):
-        return np.stack([s.frames[evenly_spaced_indices(len(s.frames), clip_len)]
-                         for s in seqs])
+    def embed(seqs):
+        return np.concatenate([
+            model.embed_clips(np.stack([s.frames[evenly_spaced_indices(len(s.frames), clip_len)]
+                                        for s in seqs[start:start + EMBED_BATCH]]))
+            for start in range(0, len(seqs), EMBED_BATCH)])
 
-    q_emb = model.embed_clips(clips_for(queries))
-    g_emb = model.embed_clips(clips_for(gallery))
-    all_emb = np.concatenate([q_emb, g_emb], axis=0)
+    all_emb = np.concatenate([embed(queries), embed(gallery)], axis=0)
     dist = pairwise_distances(all_emb)[:len(queries), len(queries):]
     return ranking_metrics(
         dist,

@@ -25,6 +25,9 @@ from .nn import BatchNorm2d, Conv2d, Linear, Module
 from .sti import SpatialTemporalInteraction, StiConfig
 from .tensor import Tensor, add, adaptive_avg_pool2d, constant, no_grad, relu, reshape, scale, tmean
 
+# clips per eval-mode forward, in embed_clips and in metrics.evaluate
+EMBED_BATCH = 32
+
 
 @dataclass(frozen=True)
 class CstnetConfig:
@@ -221,8 +224,8 @@ class Cstnet(Module):
 
     __call__ = forward      # own entry in the class dict: perfbench/tracing.py patches it there
 
-    def embed_clips(self, clips: np.ndarray, batch_size: int = 32) -> np.ndarray:
-        """Deterministic eval-mode embeddings for retrieval, as numpy."""
+    def embed_clips(self, clips: np.ndarray, batch_size: int = EMBED_BATCH) -> np.ndarray:
+        """Deterministic eval-mode embeddings for retrieval, as numpy, in the model's dtype."""
         was_training = self.training
         self.eval()
         out = []
@@ -232,7 +235,9 @@ class Cstnet(Module):
                 out.append(feats.data.copy())
         if was_training:
             self.train()
-        return np.concatenate(out, axis=0) if out else np.zeros((0, self.cfg.embedding_dim))
+        if not out:
+            return np.zeros((0, self.cfg.embedding_dim), dtype=self.cfg.np_dtype)
+        return np.concatenate(out, axis=0)
 
     def parameter_census(self) -> dict[str, int]:
         """Exact parameter counts per top-level component plus 'total'."""

@@ -20,13 +20,21 @@ against central finite differences (see ``gradcheck``).  Activations are
 contiguous NCHW.  The layer kernels pick the memory order numpy is fast in:
 a 1x1 convolution is a channel matmul on (N, C, H*W); any other convolution
 is im2col from an NHWC-padded copy, so each column fills from contiguous
-(kw, C) runs, and one GEMM, and its input gradient is added back tap by tap;
+(kw, C) runs, and GEMMs, and its input gradient is added back tap by tap;
 batch norm works on the (N, C*H*W) view; adaptive pooling is one matmul with
 a cached, read-only bin-averaging matrix for every bin layout.  A convolution
 saves only its input and weight arrays, which the graph mostly holds anyway
 (the preceding ReLU's output, the clips); its backward re-forms the im2col
-columns, or the strided 1x1 slice, from the input, so a backward holds one
-convolution's columns at a time.
+columns, or the strided 1x1 slice, from the input.
+An im2col forward holds at most ``_SLAB_BYTES`` (1 MiB) of columns, however
+large the batch: it lowers slabs of whole samples (MEC, Cho & Brand 2017,
+lowers in blocks too).  Its backward re-forms all the columns at once only
+when they fit that budget, else one kernel row at a time, a third of them
+for a 3x3 kernel.  Each output element and each weight-gradient element is
+still one dot product over the same terms in the same order, so the bytes
+equal those of one whole-batch GEMM wherever the BLAS picks the same kernel
+for the smaller products.  The weight gradient is never split over samples:
+adding per-slab partial sums would round differently.
 Graphs are single-threaded: one forward+backward pass owns its graph exclusively.
 Tensors without gradient state are immutable by convention and safe to share.
 """
@@ -576,17 +584,30 @@ def standardize(a: Tensor, axis: int = -1, eps: float = 1e-5) -> Tensor:
 # conv2d / pooling / batch norm
 # ---------------------------------------------------------------------------
 
-def _im2col(x: np.ndarray, kh: int, kw: int, s: int, p: int, oh: int, ow: int) -> np.ndarray:
-    """(N*OH*OW, kh*kw*C) columns of an NCHW array, column order (kh, kw, C).
+# im2col column bytes a convolution forms at once: a forward slab holds as
+# many whole samples as fit (at least one), a backward all kernel rows or one
+_SLAB_BYTES = 1 << 20
 
-    Padded once into NHWC order, each window row (kw, C) is a contiguous run
-    of the padded input, so one copy of the window view fills every column.
-    """
+
+def _pad_nhwc(x: np.ndarray, p: int) -> np.ndarray:
+    """An NCHW array zero-padded by ``p`` on both spatial sides, in NHWC order."""
     n, c, h, w = x.shape
     xp = np.zeros((n, h + 2 * p, w + 2 * p, c), dtype=x.dtype)
     xp[:, p:p + h, p:p + w] = x.transpose(0, 2, 3, 1)
+    return xp
+
+
+def _im2col(xp: np.ndarray, kh: int, kw: int, s: int, oh: int, ow: int) -> np.ndarray:
+    """(N*OH*OW, kh*kw*C) columns of an NHWC-padded array, column order (kh, kw, C).
+
+    Each window row (kw, C) is a contiguous run of the padded input, so one
+    copy of the window view fills every column.  ``_im2col(xp[:, i:], 1, ...)``
+    gives the columns of kernel row ``i`` alone.
+    """
+    n, c = xp.shape[0], xp.shape[3]
     win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(1, 2))
-    return win[:, ::s, ::s].transpose(0, 1, 2, 4, 5, 3).reshape(n * oh * ow, kh * kw * c)
+    win = win[:, :s * oh:s, :s * ow:s].transpose(0, 1, 2, 4, 5, 3)
+    return win.reshape(n * oh * ow, kh * kw * c)
 
 
 def _col2im(gmat: np.ndarray, taps: np.ndarray, shape: tuple,
@@ -612,12 +633,19 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
 
     A 1x1 kernel without padding is a channel matmul on (N, C, H*W), with the
     stride taken by slicing.  Any other kernel is im2col (Chellapilla et al.
-    2006, "High Performance CNNs for Document Processing") and one GEMM.
-    The output is contiguous NCHW.  The graph node saves the input and the
-    weight, nothing derived from them: the backward re-forms the columns
-    (the same bytes as the forward's) and frees them before the input
-    gradient, and re-slices a strided 1x1 input.  It skips the input
-    gradient when the input requires none (e.g. the clips fed to the stem).
+    2006, "High Performance CNNs for Document Processing") in slabs: the
+    batch is cut into the fewest near-equal slabs of whole samples whose
+    columns fit ``_SLAB_BYTES``, and each slab's GEMM, plus the bias, is
+    written transposed into the preallocated contiguous NCHW output.  Equal
+    slabs leave no small remainder, whose GEMM a BLAS may round differently.
+    The graph node saves the input and the weight, nothing derived from them.
+    The backward pads the input once and re-forms the forward's columns from
+    it, all kernel rows at once if they fit the budget, else one kernel row
+    at a time, each row's (kw, C) runs still contiguous; ``dw`` for a row is
+    one GEMM over all N*OH*OW positions, never a sum over samples, which
+    would round differently.  The columns are freed before the input
+    gradient; a strided 1x1 input is re-sliced.  The input gradient is
+    skipped when the input requires none (e.g. the clips fed to the stem).
     """
     if x.ndim != 4 or weight.ndim != 4:
         raise DimensionError(f"conv2d: need 4-d input and kernel, got {x.shape} and {weight.shape}")
@@ -660,22 +688,35 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
         return _result("conv2d", inputs, out.reshape(n, c_out, oh, ow), bw_matmul,
                        (x.data, wmat, (s, need_dx, has_bias)))
 
-    cols = _im2col(x.data, kh, kw, s, p, oh, ow)
     wmat = weight.data.transpose(0, 2, 3, 1).reshape(c_out, kh * kw * c_in)
-    out = cols @ wmat.T                               # (N*OH*OW, C_out)
-    if bias is not None:
-        out += bias.data
-    out = np.ascontiguousarray(out.reshape(n, oh, ow, c_out).transpose(0, 3, 1, 2))
+    out = np.empty((n, c_out, oh, ow), dtype=np.result_type(x.data, wmat))
+    # the fewest slabs of whole samples whose columns fit the budget, of
+    # near-equal size, so no slab is a small remainder
+    most = max(1, _SLAB_BYTES // (oh * ow * wmat.shape[1] * x.data.itemsize))
+    slabs = -(-n // most)
+    for j in range(slabs):
+        a, b = n * j // slabs, n * (j + 1) // slabs
+        # (slab*OH*OW, C_out); the slab's columns are freed once their product exists
+        res = _im2col(_pad_nhwc(x.data[a:b], p), kh, kw, s, oh, ow) @ wmat.T
+        if bias is not None:
+            res += bias.data
+        out[a:b] = res.reshape(b - a, oh, ow, c_out).transpose(0, 3, 1, 2)
 
     def bw_im2col(g, saved):
         x_s, w_s, (s_, p_, need_dx_, has_bias_) = saved
         c_out_, c_in_, kh_, kw_ = w_s.shape
+        oh_, ow_ = g.shape[2], g.shape[3]
         gmat = g.transpose(0, 2, 3, 1).reshape(-1, c_out_)
-        # the forward's columns, re-formed from the saved input: the same bytes
-        cols_s = _im2col(x_s, kh_, kw_, s_, p_, g.shape[2], g.shape[3])
-        dw = (gmat.T @ cols_s).reshape(c_out_, kh_, kw_, c_in_).transpose(0, 3, 1, 2)
-        dw = np.ascontiguousarray(dw)
-        del cols_s                  # freed before _col2im allocates its buffer
+        # the forward's columns, re-formed from the saved input: all kernel
+        # rows at once if they fit the budget, else one kernel row at a time;
+        # each dw block stays one GEMM over every position
+        xp = _pad_nhwc(x_s, p_)
+        rows = kh_ if len(gmat) * kh_ * kw_ * c_in_ * xp.itemsize <= _SLAB_BYTES else 1
+        dw = np.empty(w_s.shape, dtype=np.result_type(gmat, xp))
+        for i in range(0, kh_, rows):
+            dw_i = gmat.T @ _im2col(xp[:, i:], rows, kw_, s_, oh_, ow_)
+            dw[:, :, i:i + rows] = dw_i.reshape(c_out_, rows, kw_, c_in_).transpose(0, 3, 1, 2)
+        del xp                      # freed before _col2im allocates its buffer
         dx = None
         if need_dx_:
             # one contiguous (C_out, C_in) matrix per tap, in (kh, kw) order

@@ -1,6 +1,7 @@
 """Reverse-mode semantics: analytic cases, accumulation, determinism, and the
 finite-difference check on a composite graph."""
 
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -140,6 +141,70 @@ def test_conv_weight_gradient_independent_of_input_flag(rng, k, stride, padding)
         grads.append(wt.grad)
         assert (xt.grad is not None) == x_requires_grad
     assert np.array_equal(grads[0], grads[1])
+
+
+def _conv_bytes(x, w, stride, padding):
+    """Output, dx and dw of one conv2d and its backward rule, as bytes."""
+    out = T.conv2d(Tensor(x, requires_grad=True), Tensor(w, requires_grad=True),
+                   stride=stride, padding=padding)
+    g = np.linspace(-1.0, 1.0, out.size).reshape(out.shape).astype(out.dtype)
+    dx, dw = out.op.backward_fn(g, out.op.saved)
+    return [a.dtype.str.encode() + a.tobytes() for a in (out.data, dx, dw)]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("k, stride, padding", CONV_GEOMETRIES)
+def test_conv_slab_boundaries_do_not_change_bytes(rng, monkeypatch, k, stride, padding, dtype):
+    # a budget of 1 byte puts every sample in its own forward slab and
+    # re-forms the backward columns one kernel row at a time; products this
+    # small take one BLAS kernel at every slab size, so the bytes must agree
+    x = rng.standard_normal((5, 3, 7, 5)).astype(dtype)
+    w = rng.standard_normal((4, 3, k, k)).astype(dtype)
+    default = _conv_bytes(x, w, stride, padding)
+    monkeypatch.setattr(T, "_SLAB_BYTES", 1)
+    assert _conv_bytes(x, w, stride, padding) == default
+
+
+# (input (N, C, H, W), C_out, stride) of 3x3 convs of the model at 32x16
+# frames whose default-budget slabs or kernel rows split the batch
+@pytest.mark.parametrize("shape, c_out, stride", [
+    ((64, 3, 32, 16), 8, 1), ((64, 8, 32, 16), 16, 2), ((64, 16, 16, 8), 16, 1),
+    ((128, 128, 2, 1), 128, 1)])
+def test_conv_default_slabs_equal_one_whole_batch_gemm(rng, monkeypatch, shape, c_out, stride):
+    x = rng.standard_normal(shape).astype(np.float32)
+    w = rng.standard_normal((c_out, shape[1], 3, 3)).astype(np.float32)
+    default = _conv_bytes(x, w, stride, 1)
+    monkeypatch.setattr(T, "_SLAB_BYTES", 1 << 40)
+    assert _conv_bytes(x, w, stride, 1) == default
+
+
+def _traced_peak(fn):
+    """fn's result and the tracemalloc peak of its call above the bytes live at its start."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+def test_conv_forward_workspace_is_bounded(rng):
+    # whole-batch im2col would hold 4.7 MB of columns here
+    x = Tensor(rng.standard_normal((64, 16, 16, 8)).astype(np.float32), requires_grad=True)
+    w = Tensor(rng.standard_normal((16, 16, 3, 3)).astype(np.float32), requires_grad=True)
+    out, peak = _traced_peak(lambda: T.conv2d(x, w, stride=1, padding=1))
+    assert peak - out.data.nbytes <= 2 * 2 ** 20
+
+
+def test_conv_backward_holds_less_than_the_whole_column_matrix(rng):
+    x = Tensor(rng.standard_normal((64, 16, 16, 8)).astype(np.float32), requires_grad=True)
+    w = Tensor(rng.standard_normal((16, 16, 3, 3)).astype(np.float32), requires_grad=True)
+    out = T.conv2d(x, w, stride=1, padding=1)
+    g = rng.standard_normal(out.shape).astype(np.float32)
+    (dx, dw), peak = _traced_peak(lambda: out.op.backward_fn(g, out.op.saved))
+    assert dx.shape == x.shape and dw.shape == w.shape
+    assert peak < 64 * 16 * 8 * 16 * 9 * 4     # bytes of all (N*OH*OW, 9*C) columns
 
 
 def _root(arr: np.ndarray) -> np.ndarray:

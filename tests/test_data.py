@@ -1,5 +1,7 @@
 """Synthetic generation, difficulty calibration, and the on-disk format."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -113,6 +115,20 @@ class TestTensorFiles:
         arr = rng.standard_normal((2, 2))
         write_tensor(tmp_path / "t.cstt", arr)
         assert np.array_equal(read_tensor(tmp_path / "t.cstt"), arr)
+
+    def test_read_copies_the_values_once(self, tmp_path, rng):
+        # the file's bytes plus one private array; a slice of the bytes would be a third copy
+        arr = rng.standard_normal((64, 3, 32, 16)).astype(np.float32)
+        write_tensor(tmp_path / "t.cstt", arr)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            back = read_tensor(tmp_path / "t.cstt")
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert back.flags.writeable and back.flags.owndata and np.array_equal(back, arr)
+        assert peak < 2.5 * arr.nbytes
 
     def test_corrupt_magic(self, tmp_path):
         write_tensor(tmp_path / "t.cstt", np.zeros(3, np.float32))

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from cstnet.data import SequenceRecord, VideoDataset
 from cstnet.errors import ContractError
 from cstnet.metrics import evaluate, evenly_spaced_indices, ranking_metrics
+from cstnet.model import EMBED_BATCH, Cstnet, CstnetConfig, pairwise_distances
 from cstnet.verify import ranking_instance
 
 
@@ -95,12 +96,12 @@ class OracleModel:
         return out
 
 
-def tiny_eval_dataset(num_ids=4, frames_per_seq=6):
+def tiny_eval_dataset(num_ids=4, frames_per_seq=6, frame_hw=(8, 4)):
     seqs = []
     rng = np.random.default_rng(0)
     for identity in range(num_ids):
         for camera in (0, 1):
-            frames = rng.random((frames_per_seq, 3, 8, 4)).astype(np.float32)
+            frames = rng.random((frames_per_seq, 3) + frame_hw).astype(np.float32)
             frames[:, 0, 0, 0] = identity / 100.0     # identity tag for OracleModel
             split = "query" if camera == 0 else "gallery"
             seqs.append(SequenceRecord(identity, camera, split, frames))
@@ -149,3 +150,45 @@ class TestEvaluate:
         records = metrics.as_records()
         names = [r[0] for r in records]
         assert names == ["cmc", "cmc", "cmc", "map", "excluded_queries"]
+
+    def test_embeds_at_most_one_batch_of_clips_per_call(self):
+        ds = tiny_eval_dataset(num_ids=2 * EMBED_BATCH + 3)
+        sizes = []
+
+        class RecordingModel(StubModel):
+            def embed_clips(self, clips, batch_size=EMBED_BATCH):
+                sizes.append(len(clips))
+                return super().embed_clips(clips)
+
+        evaluate(RecordingModel(), ds, clip_len=4, max_rank=3)
+        assert max(sizes) <= EMBED_BATCH
+        assert sum(sizes) == len(ds.sequences)
+
+    def test_streaming_equals_embedding_each_stacked_split(self):
+        # a gallery of more than one batch: same embeddings and metrics as
+        # embed_clips on the whole stacked split
+        ds = tiny_eval_dataset(num_ids=EMBED_BATCH + 5, frames_per_seq=3, frame_hw=(16, 8))
+        model = Cstnet(CstnetConfig(num_identities=ds.num_identities, clip_len=2, frame_h=16,
+                                    frame_w=8, stage_channels=(4, 8, 8, 8, 8), embedding_dim=8,
+                                    csl_channels=4, csl_pool_h=2, csl_pool_w=2,
+                                    sti_channels=4, sti_pool_h=2, sti_pool_w=1, seed=1))
+        embedded = []
+        embed_clips = model.embed_clips
+
+        def recording(clips, batch_size=EMBED_BATCH):
+            embedded.append(embed_clips(clips, batch_size))
+            return embedded[-1]
+
+        model.embed_clips = recording
+        got = evaluate(model, ds, clip_len=2, max_rank=5)
+
+        queries, gallery = ds.of_split("query"), ds.of_split("gallery")
+        whole = np.concatenate([
+            embed_clips(np.stack([s.frames[evenly_spaced_indices(len(s.frames), 2)] for s in seqs]))
+            for seqs in (queries, gallery)])
+        assert np.array_equal(np.concatenate(embedded), whole)
+        ref = ranking_metrics(pairwise_distances(whole)[:len(queries), len(queries):],
+                              [s.identity for s in queries], [s.identity for s in gallery],
+                              [s.camera for s in queries], [s.camera for s in gallery], 5)
+        assert np.array_equal(got.cmc, ref.cmc) and got.map == ref.map
+        assert got.per_query == ref.per_query and got.excluded_queries == ref.excluded_queries

@@ -96,6 +96,12 @@ class TestForward:
         b = model.embed_clips(clips)
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("dtype", ["f32", "f64"])
+    def test_no_clips_embed_to_the_model_dtype(self, dtype):
+        model = Cstnet(micro_config(dtype=dtype))
+        emb = model.embed_clips(np.zeros((0, 2, 3, 16, 8), np.float32))
+        assert emb.shape == (0, 8) and emb.dtype == model.cfg.np_dtype
+
     def test_identical_clips_identical_embeddings(self, rng):
         model = Cstnet(micro_config())
         clip = rng.random((1, 2, 3, 16, 8))
