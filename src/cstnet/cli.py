@@ -28,8 +28,8 @@ from dataclasses import fields
 from pathlib import Path
 
 from .checkpoint import load_model, save_model
-from .data import (SynthSpec, dataset_census, generate_synthetic, load_dataset,
-                   save_dataset)
+from .data import (FRAME_CHANNELS, SynthSpec, dataset_census, generate_synthetic,
+                   load_dataset, save_dataset)
 from .errors import ConfigError, ContractError, DimensionError, FormatError, NumericError
 from .experiments import variant_flags
 from .metrics import evaluate
@@ -41,16 +41,13 @@ from .verify import main_report, run_verification
 OUT_ENV_VAR = "CSTNET_OUT"
 
 
-# Fields no command sets; they keep their dataclass defaults.
-_FIXED = {"ncc_eps", "jitter_px", "beta1", "beta2", "eps"}
 # Fields `train` fills itself: from the dataset, from the ablation's
 # variant_flags, and the nested optimizer config.
-_TRAIN_FILLED = {"num_identities", "frame_h", "frame_w", "in_channels",
-                 "with_csl", "with_sti", "adam"}
+_TRAIN_FILLED = {"num_identities", "frame_h", "frame_w", "with_csl", "with_sti", "adam"}
 
 
 def _field_defaults(cls, filled=frozenset()) -> dict:
-    return {f.name: f.default for f in fields(cls) if f.name not in _FIXED | filled}
+    return {f.name: f.default for f in fields(cls) if f.name not in filled}
 
 
 # command -> key -> default; a key's type is its default's type
@@ -160,9 +157,9 @@ def cmd_train(args) -> int:
     train_split = dataset.of_split("train")
     if not train_split:
         raise ContractError("dataset has no train split")
-    in_channels, frame_h, frame_w = dataset.frame_shape()
+    _, frame_h, frame_w = dataset.frame_shape()
     model_cfg = config_from(CstnetConfig, resolved, num_identities=dataset.num_identities,
-                       in_channels=in_channels, frame_h=frame_h, frame_w=frame_w, **flags)
+                            frame_h=frame_h, frame_w=frame_w, **flags)
     model = Cstnet(model_cfg)
     out = _out_dir(resolved)
     write_config_echo(out, resolved)
@@ -189,7 +186,8 @@ def cmd_eval(args) -> int:
         raise ConfigError("eval requires --checkpoint and --data")
     model = load_model(resolved["checkpoint"])
     dataset = load_dataset(resolved["data"])
-    if dataset.sequences and dataset.frame_shape() != (3, model.cfg.frame_h, model.cfg.frame_w):
+    if dataset.sequences and dataset.frame_shape() != (FRAME_CHANNELS, model.cfg.frame_h,
+                                                       model.cfg.frame_w):
         raise ConfigError(f"checkpoint expects {model.cfg.frame_h}x{model.cfg.frame_w} frames "
                           f"but dataset has {dataset.frame_shape()[1]}x{dataset.frame_shape()[2]}")
     metrics = evaluate(model, dataset, clip_len=model.cfg.clip_len, max_rank=resolved["max_rank"])

@@ -45,16 +45,19 @@ from .nn import BatchNorm2d, Conv2d, Module
 from .tensor import (Tensor, adaptive_avg_pool2d, add, constant, matmul, mul, neg, permute,
                      relu, reshape, scale, sigmoid, standardize)
 
+# added to a descriptor's population std before the NCC divides by it, so a
+# constant descriptor correlates 0 with everything
+NCC_EPS = 1e-5
+
 
 @dataclass(frozen=True)
 class CslConfig:
-    """Dimension-reduction and correlation settings for one insertion point."""
+    """Dimension-reduction settings for one insertion point."""
 
     c_in: int
     c_l: int
     h_l: int
     w_l: int
-    ncc_eps: float = 1e-5
 
     def validate(self, feat_h: int, feat_w: int):
         if self.c_l < 1 or self.c_l > self.c_in:
@@ -64,8 +67,6 @@ class CslConfig:
                               f"map ({feat_h}, {feat_w})")
         if self.h_l * self.w_l < 2:
             raise ConfigError("channel descriptors need at least 2 spatial positions")
-        if self.ncc_eps <= 0:
-            raise ConfigError(f"ncc_eps must be positive, got {self.ncc_eps}")
 
 
 @dataclass
@@ -82,18 +83,18 @@ class CoSaliencyAttention:
     z: Tensor
 
 
-def _standardized_spatial(desc: Tensor, eps: float) -> Tensor:
+def _standardized_spatial(desc: Tensor) -> Tensor:
     """(B, T, C_L, H, W) -> (B, T, H*W, C_L) mean-free unit-std descriptors."""
     b, t, c_l, h, w = desc.shape
     flat = reshape(permute(desc, (0, 1, 3, 4, 2)), (b, t, h * w, c_l))
-    return standardize(flat, axis=-1, eps=eps)
+    return standardize(flat, axis=-1, eps=NCC_EPS)
 
 
-def _standardized_channel(desc: Tensor, eps: float) -> Tensor:
+def _standardized_channel(desc: Tensor) -> Tensor:
     """(B, T, C, H_L, W_L) -> (B, T, C, H_L*W_L) standardized per channel."""
     b, t, c, h_l, w_l = desc.shape
     flat = reshape(desc, (b, t, c, h_l * w_l))
-    return standardize(flat, axis=-1, eps=eps)
+    return standardize(flat, axis=-1, eps=NCC_EPS)
 
 
 def _co_frame_selection(frames: int, dtype) -> np.ndarray:
@@ -170,8 +171,8 @@ class CoSaliencyLearning(Module):
             raise DimensionError(f"module was built for {self.feat_h}x{self.feat_w} maps, "
                                  f"got {h}x{w}")
         sd, cd = self.reduce_dims(f)
-        nd_s = _standardized_spatial(sd, self.cfg.ncc_eps)            # (B, T, HW, C_L)
-        nd_c = _standardized_channel(cd, self.cfg.ncc_eps)            # (B, T, C, H_L*W_L)
+        nd_s = _standardized_spatial(sd)            # (B, T, HW, C_L)
+        nd_c = _standardized_channel(cd)            # (B, T, C, H_L*W_L)
         z_s = reshape(_fused_logits(nd_s, self.summarize_spatial), (b, t, 1, h, w))
         z_c = reshape(_fused_logits(nd_c, self.summarize_channel), (b, t, c, 1, 1))
         return CoSaliencyAttention(z_s=z_s, z_c=z_c, z=sigmoid(mul(z_s, z_c)))

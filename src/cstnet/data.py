@@ -43,6 +43,8 @@ from .errors import ContractError, FormatError
 from .io import read_tensor, write_tensor
 
 SPLITS = ("train", "query", "gallery")
+FRAME_CHANNELS = 3          # every frame is RGB
+JITTER_PX = 2               # per-frame body placement jitter, in pixels
 
 
 @dataclass
@@ -76,8 +78,8 @@ class VideoDataset:
         for i, s in enumerate(self.sequences):
             if s.split not in SPLITS:
                 raise ContractError(f"unknown split {s.split!r}")
-            if s.frames.ndim != 4 or s.frames.shape[1] != 3 or len(s.frames) < 1:
-                raise ContractError(f"sequence frames must be (L>=1, 3, H, W), "
+            if s.frames.ndim != 4 or s.frames.shape[1] != FRAME_CHANNELS or len(s.frames) < 1:
+                raise ContractError(f"sequence frames must be (L>=1, {FRAME_CHANNELS}, H, W), "
                                     f"got {s.frames.shape}")
             if s.frames.shape[1:] != self.sequences[0].frames.shape[1:]:
                 h, w = s.frames.shape[2:]
@@ -107,7 +109,6 @@ class SynthSpec:
     illum_scale: tuple = (1.0, 1.0)           # per-frame a ~ U[lo, hi]
     illum_shift: tuple = (0.0, 0.0)           # per-frame b ~ U[lo, hi]
     occlusion_p: float = 0.0
-    jitter_px: int = 2                        # per-frame body placement jitter
     seed: int = 0
 
     def validate(self):
@@ -123,8 +124,6 @@ class SynthSpec:
             raise ContractError("clutter std must be >= 0")
         if not 0.0 <= self.occlusion_p <= 1.0:
             raise ContractError("occlusion_p must be in [0, 1]")
-        if self.jitter_px < 0:
-            raise ContractError("jitter_px must be >= 0")
         if len(self.illum_scale) != 2 or len(self.illum_shift) != 2:
             raise ContractError("illum_scale and illum_shift must each be a (lo, hi) pair")
         if self.illum_scale[0] <= 0 or self.illum_scale[0] > self.illum_scale[1]:
@@ -272,9 +271,9 @@ def generate_synthetic(spec: SynthSpec) -> VideoDataset:
                             patch *= 1.0 - alpha
                             patch += alpha * color[:, None, None]
                             patch += noise
-                    jv = max(1, spec.jitter_px // 2)
+                    jv = max(1, JITTER_PX // 2)
                     cy = base_cy + int(rng.integers(-jv, jv + 1))
-                    cx = base_cx + int(rng.integers(-spec.jitter_px, spec.jitter_px + 1))
+                    cx = base_cx + int(rng.integers(-JITTER_PX, JITTER_PX + 1))
                     _paint_body(frame, sig, cy, cx)
                     for py, px, alpha, color, noise in foreground:
                         ph, pw = noise.shape[1:]
@@ -338,8 +337,8 @@ def load_dataset(path) -> VideoDataset:
         if not fpath.is_file():
             raise FormatError(f"{index}: line {lineno} references missing file {fname}")
         frames = read_tensor(fpath)
-        if frames.ndim != 4 or frames.shape[1] != 3:
-            raise FormatError(f"{fpath}: expected a (L, 3, H, W) frame stack, "
+        if frames.ndim != 4 or frames.shape[1] != FRAME_CHANNELS:
+            raise FormatError(f"{fpath}: expected a (L, {FRAME_CHANNELS}, H, W) frame stack, "
                               f"got shape {frames.shape}")
         sequences.append(SequenceRecord(identity, camera, split,
                                         frames.astype(np.float32, copy=False)))

@@ -25,6 +25,7 @@ identical bytes.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from pathlib import Path
 
@@ -75,11 +76,14 @@ class _Reader:
         tag, rank = struct.unpack("<BB", self.take(2, "dtype/rank header"))
         if tag not in _DTYPE_TAGS:
             raise FormatError(f"{self.name}: unknown dtype tag {tag} at offset {self.offset - 2}")
+        at = self.offset
         shape = struct.unpack(f"<{rank}Q", self.take(8 * rank, "extents")) if rank else ()
         dtype = _DTYPE_TAGS[tag]
-        count = int(np.prod(shape)) if shape else 1
-        raw = self.take(count * dtype.itemsize, "tensor values")
-        return np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
+        raw = self.take(math.prod(shape) * dtype.itemsize, "tensor values")
+        try:
+            return np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
+        except ValueError:      # an empty array with an extent numpy cannot index
+            raise FormatError(f"{self.name}: extents {shape} at offset {at} are too large") from None
 
 
 def write_tensor(path, arr: np.ndarray):
@@ -129,11 +133,17 @@ def read_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
         config = json.loads(bytes(reader.take(echo_len, "config echo")).decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"{path}: corrupt config echo ({exc})") from None
+    if not isinstance(config, dict):
+        raise FormatError(f"{path}: config echo is not a JSON object")
     (count,) = struct.unpack("<I", reader.take(4, "tensor count"))
     state: dict[str, np.ndarray] = {}
     for _ in range(count):
         (name_len,) = struct.unpack("<H", reader.take(2, "name length"))
-        name = bytes(reader.take(name_len, "tensor name")).decode("utf-8")
+        at = reader.offset
+        try:
+            name = bytes(reader.take(name_len, "tensor name")).decode("utf-8")
+        except UnicodeDecodeError:
+            raise FormatError(f"{path}: tensor name at offset {at} is not UTF-8") from None
         state[name] = reader.unpack_array()
     if reader.offset != len(reader.data):
         raise FormatError(f"{path}: {len(reader.data) - reader.offset} trailing bytes "

@@ -87,6 +87,7 @@ def evaluate(model, dataset, clip_len: int, max_rank: int = 20) -> RankingMetric
     batch of clips however large the gallery is.  The batches are exactly
     those ``embed_clips`` cuts from a whole split, so every forward, and so
     every embedding, is the same as embedding the stacked split at once.
+    Only the query x gallery distances are computed.
     """
     from .model import EMBED_BATCH, pairwise_distances     # avoid import cycle
 
@@ -101,10 +102,8 @@ def evaluate(model, dataset, clip_len: int, max_rank: int = 20) -> RankingMetric
                                         for s in seqs[start:start + EMBED_BATCH]]))
             for start in range(0, len(seqs), EMBED_BATCH)])
 
-    all_emb = np.concatenate([embed(queries), embed(gallery)], axis=0)
-    dist = pairwise_distances(all_emb)[:len(queries), len(queries):]
     return ranking_metrics(
-        dist,
+        pairwise_distances(embed(queries), embed(gallery)),
         np.array([s.identity for s in queries]),
         np.array([s.identity for s in gallery]),
         np.array([s.camera for s in queries]),

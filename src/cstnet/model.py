@@ -6,7 +6,8 @@ The backbone is a compact stand-in with the usual 5-stage interface: a stem
 (conv + BN + ReLU) followed by four residual stages of two 3x3 convolutions
 with a projection shortcut.  Stage channel counts, strides, clip length,
 frame size and all insertion hyperparameters live in ``CstnetConfig``; the
-large-scale settings remain expressible through the same fields.
+large-scale settings remain expressible through the same fields.  Frames
+have the dataset format's ``FRAME_CHANNELS`` channels.
 
 Frames flow through stages independently (2d convs); the clip structure only
 matters to the inserted modules and to the final temporal average.  Retrieval
@@ -20,10 +21,11 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .csl import CoSaliencyLearning, CslConfig
+from .data import FRAME_CHANNELS
 from .errors import ConfigError, ContractError, DimensionError
 from .nn import BatchNorm2d, Conv2d, Linear, Module
 from .sti import SpatialTemporalInteraction, StiConfig
-from .tensor import Tensor, add, adaptive_avg_pool2d, constant, no_grad, relu, reshape, scale, tmean
+from .tensor import Tensor, add, adaptive_avg_pool2d, constant, no_grad, relu, reshape, tmean
 
 # clips per eval-mode forward, in embed_clips and in metrics.evaluate
 EMBED_BATCH = 32
@@ -37,7 +39,6 @@ class CstnetConfig:
     clip_len: int = 4
     frame_h: int = 32
     frame_w: int = 16
-    in_channels: int = 3
     stage_channels: tuple = (8, 16, 32, 64, 128)
     stage_strides: tuple = (1, 2, 2, 2, 2)
     insertion_points: tuple = (2, 3, 4)
@@ -47,11 +48,9 @@ class CstnetConfig:
     csl_channels: int = 16          # C_L
     csl_pool_h: int = 4             # H_L
     csl_pool_w: int = 2             # W_L
-    ncc_eps: float = 1e-5
     sti_channels: int = 16          # C_1
     sti_pool_h: int = 4             # H_1
     sti_pool_w: int = 2             # W_1
-    input_scale: float = 1.0
     dtype: str = "f32"
     seed: int = 0
 
@@ -97,8 +96,7 @@ class CstnetConfig:
     def csl_config_for(self, stage: int) -> CslConfig:
         c, h, w = self.stage_dims()[stage - 1]
         return CslConfig(c_in=c, c_l=min(self.csl_channels, c),
-                         h_l=min(self.csl_pool_h, h), w_l=min(self.csl_pool_w, w),
-                         ncc_eps=self.ncc_eps)
+                         h_l=min(self.csl_pool_h, h), w_l=min(self.csl_pool_w, w))
 
     def sti_config_for(self, stage: int) -> StiConfig:
         c, h, w = self.stage_dims()[stage - 1]
@@ -115,18 +113,6 @@ class CstnetConfig:
             if key in d:
                 d[key] = tuple(d[key])
         return cls(**d)
-
-    @classmethod
-    def paper_scale(cls, num_identities: int, **overrides) -> "CstnetConfig":
-        """Full-scale hyperparameters (256x128 frames, T=8, wide stages)."""
-        base = dict(num_identities=num_identities, clip_len=8, frame_h=256, frame_w=128,
-                    stage_channels=(64, 256, 512, 1024, 2048),
-                    stage_strides=(2, 2, 2, 2, 2), embedding_dim=512,
-                    csl_channels=256, csl_pool_h=16, csl_pool_w=8,
-                    sti_channels=128, sti_pool_h=16, sti_pool_w=8,
-                    input_scale=1.0 / 256.0)
-        base.update(overrides)
-        return cls(**base)
 
 
 class ResidualStage(Module):
@@ -169,7 +155,7 @@ class Cstnet(Module):
         dtype = cfg.np_dtype
         chans = cfg.stage_channels
         strides = cfg.stage_strides
-        self.stage1 = Stem(cfg.in_channels, chans[0], strides[0], rng=rng, dtype=dtype)
+        self.stage1 = Stem(FRAME_CHANNELS, chans[0], strides[0], rng=rng, dtype=dtype)
         self.stage2 = ResidualStage(chans[0], chans[1], strides[1], rng=rng, dtype=dtype)
         self.stage3 = ResidualStage(chans[1], chans[2], strides[2], rng=rng, dtype=dtype)
         self.stage4 = ResidualStage(chans[2], chans[3], strides[3], rng=rng, dtype=dtype)
@@ -199,11 +185,9 @@ class Cstnet(Module):
         b, t, c, h, w = x.shape
         if t != cfg.clip_len:
             raise ContractError(f"model expects {cfg.clip_len} frames per clip, got {t}")
-        if c != cfg.in_channels or (h, w) != (cfg.frame_h, cfg.frame_w):
-            raise ContractError(f"model expects {cfg.in_channels}x{cfg.frame_h}x{cfg.frame_w} "
+        if (c, h, w) != (FRAME_CHANNELS, cfg.frame_h, cfg.frame_w):
+            raise ContractError(f"model expects {FRAME_CHANNELS}x{cfg.frame_h}x{cfg.frame_w} "
                                 f"frames, got {c}x{h}x{w}")
-        if cfg.input_scale != 1.0:
-            x = scale(x, cfg.input_scale)
         x = reshape(x, (b * t, c, h, w))
         dims = cfg.stage_dims()
         for stage in range(1, 6):
@@ -249,16 +233,27 @@ class Cstnet(Module):
         return census
 
 
-def pairwise_distances(features: np.ndarray) -> np.ndarray:
-    """Euclidean distance matrix with an exactly zero diagonal."""
+def _finite_rows(features) -> np.ndarray:
     f = np.asarray(features, dtype=np.float64)
     if f.ndim != 2:
         raise DimensionError(f"expected (n, d) features, got {f.shape}")
     if not np.isfinite(f).all():
         raise ContractError("pairwise_distances requires finite features")
-    sq = (f * f).sum(axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (f @ f.T)
+    return f
+
+
+def pairwise_distances(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
+    """Euclidean distances between the rows of ``a`` and the rows of ``b``.
+
+    With ``b`` None, ``a`` is compared with itself and the diagonal is exactly zero.
+    """
+    x = _finite_rows(a)
+    y = x if b is None else _finite_rows(b)
+    if x.shape[1] != y.shape[1]:
+        raise DimensionError(f"features of {x.shape[1]} and {y.shape[1]} dimensions")
+    d2 = (x * x).sum(axis=1)[:, None] + (y * y).sum(axis=1)[None, :] - 2.0 * (x @ y.T)
     np.maximum(d2, 0.0, out=d2)
     d = np.sqrt(d2)
-    np.fill_diagonal(d, 0.0)
+    if b is None:
+        np.fill_diagonal(d, 0.0)
     return d

@@ -115,10 +115,8 @@ class Conv2d(Module):
 
 
 class BatchNorm2d(Module):
-    def __init__(self, channels: int, *, dtype=np.float32, momentum: float = 0.1, eps: float = 1e-5):
+    def __init__(self, channels: int, *, dtype=np.float32):
         super().__init__()
-        self.momentum = momentum
-        self.eps = eps
         self.gamma = Parameter(np.ones(channels, dtype=dtype))
         self.beta = Parameter(np.zeros(channels, dtype=dtype))
         self.register_buffer("running_mean", np.zeros(channels, dtype=dtype))
@@ -126,7 +124,7 @@ class BatchNorm2d(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         return batch_norm(x, self.gamma, self.beta, self.running_mean, self.running_var,
-                          training=self.training, momentum=self.momentum, eps=self.eps)
+                          training=self.training)
 
 
 class Linear(Module):

@@ -9,18 +9,25 @@ import numpy as np
 from .errors import ConfigError, NumericError
 from .nn import Parameter
 
+BETA1 = 0.9         # decay of the first-moment estimate
+BETA2 = 0.999       # decay of the second-moment estimate
+EPS = 1e-8          # added to the second moment's square root
+
 
 @dataclass(frozen=True)
 class AdamConfig:
     lr: float = 3e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     weight_decay: float = 5e-4
     lr_decay: float = 0.1
     lr_decay_every: int = 200       # epochs between decays
 
     def __post_init__(self):
+        if self.lr < 0:
+            raise ConfigError(f"lr must be >= 0, got {self.lr}")
+        if self.weight_decay < 0:
+            raise ConfigError(f"weight_decay must be >= 0, got {self.weight_decay}")
+        if not 0 < self.lr_decay <= 1:
+            raise ConfigError(f"lr_decay must be in (0, 1], got {self.lr_decay}")
         if self.lr_decay_every < 1:
             raise ConfigError(f"lr_decay_every must be >= 1, got {self.lr_decay_every}")
 
@@ -30,17 +37,16 @@ def lr_at_epoch(cfg: AdamConfig, epoch: int) -> float:
 
 
 def adam_update(param: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarray,
-                step: int, lr: float, beta1: float, beta2: float, eps: float,
-                weight_decay: float):
+                step: int, lr: float, weight_decay: float):
     """One in-place Adam step on a single parameter (step is 1-based)."""
     g = grad + weight_decay * param if weight_decay else grad
-    m *= beta1
-    m += (1.0 - beta1) * g
-    v *= beta2
-    v += (1.0 - beta2) * (g * g)
-    m_hat = m / (1.0 - beta1 ** step)
-    v_hat = v / (1.0 - beta2 ** step)
-    param -= lr * m_hat / (np.sqrt(v_hat) + eps)
+    m *= BETA1
+    m += (1.0 - BETA1) * g
+    v *= BETA2
+    v += (1.0 - BETA2) * (g * g)
+    m_hat = m / (1.0 - BETA1 ** step)
+    v_hat = v / (1.0 - BETA2 ** step)
+    param -= lr * m_hat / (np.sqrt(v_hat) + EPS)
 
 
 class Adam:
@@ -67,5 +73,4 @@ class Adam:
                                    f"at optimizer step {self.step_count}")
             adam_update(p.data, p.grad.astype(p.data.dtype, copy=False),
                         self._m[name], self._v[name], self.step_count, lr,
-                        self.cfg.beta1, self.cfg.beta2, self.cfg.eps,
                         self.cfg.weight_decay)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import faults, tensor as T
-from .csl import CoSaliencyLearning, CslConfig
+from .csl import NCC_EPS, CoSaliencyLearning, CslConfig
 from .errors import ContractError, DimensionError
 from .gradcheck import check_op, max_gradcheck_error
 from .losses import batch_hard_triplet, label_smooth_ce
@@ -59,12 +59,12 @@ class PropertyResult:
 # path
 # ---------------------------------------------------------------------------
 
-def ncc(p, q, eps: float = 1e-5) -> float:
+def ncc(p, q) -> float:
     """Normalized cross correlation of two descriptors, by its definition.
 
     (1/d) * sum((p - mean_p) * (q - mean_q)) / ((std_p + eps) * (std_q + eps))
-    with population standard deviations; eps guards constant descriptors.
-    Robust to positive affine rescaling of either argument.
+    with population standard deviations and eps = ``NCC_EPS``, which guards
+    constant descriptors.  Robust to positive affine rescaling of either argument.
     """
     p = np.asarray(p, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
@@ -73,16 +73,14 @@ def ncc(p, q, eps: float = 1e-5) -> float:
                              f"{p.shape} and {q.shape}")
     if p.size < 2:
         raise ContractError("ncc: descriptors need at least 2 entries")
-    if eps <= 0:
-        raise ContractError("ncc: eps must be positive")
     pc, qc = p - p.mean(), q - q.mean()
-    return float((pc * qc).sum() / p.size / ((pc.std() + eps) * (qc.std() + eps)))
+    return float((pc * qc).sum() / p.size / ((pc.std() + NCC_EPS) * (qc.std() + NCC_EPS)))
 
 
-def _standardized(x: np.ndarray, eps: float) -> np.ndarray:
-    """Mean-free descriptors along the last axis, divided by population std + eps."""
+def _standardized(x: np.ndarray) -> np.ndarray:
+    """Mean-free descriptors along the last axis, divided by population std + ``NCC_EPS``."""
     centred = x - x.mean(axis=-1, keepdims=True)
-    return centred / (centred.std(axis=-1, keepdims=True) + eps)
+    return centred / (centred.std(axis=-1, keepdims=True) + NCC_EPS)
 
 
 def _volume_for_frame(nd: np.ndarray, t: int) -> np.ndarray:
@@ -97,11 +95,10 @@ def _volume_for_frame(nd: np.ndarray, t: int) -> np.ndarray:
     return others @ nd[t].T / d
 
 
-def build_spatial_volume(spatial_desc, frame: int, eps: float = 1e-5):
+def build_spatial_volume(spatial_desc, frame: int) -> np.ndarray:
     """Correlation volume ((T-1)*H*W, H, W) of one frame vs. the rest.
 
     ``spatial_desc`` is a single clip's (T, C_L, H, W) descriptor stack.
-    Returns None for single-frame clips (no co-frames to correlate with).
     """
     desc = np.asarray(spatial_desc, dtype=np.float64)
     if desc.ndim != 4:
@@ -109,18 +106,16 @@ def build_spatial_volume(spatial_desc, frame: int, eps: float = 1e-5):
     t_len, c_l, h, w = desc.shape
     if not 0 <= frame < t_len:
         raise ContractError(f"frame {frame} out of range for {t_len} frames")
-    if t_len == 1:
-        return None
-    nd = _standardized(desc.reshape(t_len, c_l, h * w).transpose(0, 2, 1), eps)
+    nd = _standardized(desc.reshape(t_len, c_l, h * w).transpose(0, 2, 1))
     return _volume_for_frame(nd, frame).reshape((t_len - 1) * h * w, h, w)
 
 
-def build_channel_volume(channel_desc, frame: int, eps: float = 1e-5):
+def build_channel_volume(channel_desc, frame: int) -> np.ndarray:
     """Correlation volume ((T-1)*C, C, 1, 1) of one frame's channels vs. the rest.
 
     Mirrors ``build_spatial_volume`` with channels as descriptors: each
     channel's flattened H_L*W_L map is compared against every channel of
-    every other frame.  Returns None for single-frame clips.
+    every other frame.
     """
     desc = np.asarray(channel_desc, dtype=np.float64)
     if desc.ndim != 4:
@@ -130,9 +125,7 @@ def build_channel_volume(channel_desc, frame: int, eps: float = 1e-5):
         raise ContractError("channel descriptors need at least 2 spatial positions")
     if not 0 <= frame < t_len:
         raise ContractError(f"frame {frame} out of range for {t_len} frames")
-    if t_len == 1:
-        return None
-    nd = _standardized(desc.reshape(t_len, c, h_l * w_l), eps)
+    nd = _standardized(desc.reshape(t_len, c, h_l * w_l))
     return _volume_for_frame(nd, frame).reshape((t_len - 1) * c, c, 1, 1)
 
 
@@ -460,10 +453,9 @@ def materialized_attention(csl: CoSaliencyLearning, f: Tensor) -> tuple[np.ndarr
     module's descriptors, then the summarize weights and bias applied to them."""
     b, t, c, h, w = f.shape
     sd, cd = csl.reduce_dims(f)
-    eps = csl.cfg.ncc_eps
 
     def logits(build, desc, summarize):
-        vols = np.array([[build(desc[i], k, eps) for k in range(t)] for i in range(b)])
+        vols = np.array([[build(desc[i], k) for k in range(t)] for i in range(b)])
         weight = summarize.weight.data.astype(np.float64).ravel()
         return np.tensordot(vols, weight, axes=([2], [0])) + float(summarize.bias.data[0])
 

@@ -1,5 +1,7 @@
 """Checkpoint container: round trips, canonical bytes, corruption handling."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -96,3 +98,37 @@ def test_config_echo_must_describe_model(tmp_path):
     write_checkpoint(tmp_path / "m.ckpt", {"nonsense": True}, {})
     with pytest.raises(FormatError):
         load_model(tmp_path / "m.ckpt")
+
+
+def test_config_echo_must_be_an_object(tmp_path):
+    write_checkpoint(tmp_path / "m.ckpt", "abc", {})
+    with pytest.raises(FormatError, match="config echo is not a JSON object"):
+        load_model(tmp_path / "m.ckpt")
+
+
+def write_raw_checkpoint(path, name: bytes, extents: tuple, values: bytes = b""):
+    """A one-tensor float32 checkpoint with an empty config echo, byte by byte."""
+    echo = b"{}"
+    record = (struct.pack("<H", len(name)) + name
+              + struct.pack(f"<BB{len(extents)}Q", 1, len(extents), *extents) + values)
+    path.write_bytes(b"CSTC" + struct.pack("<HI", 1, len(echo)) + echo
+                     + struct.pack("<I", 1) + record)
+
+
+def test_extents_whose_product_overflows_are_truncation(tmp_path):
+    # 2^32 * 2^32 elements wrap to 0 in int64
+    write_raw_checkpoint(tmp_path / "m.ckpt", b"w", (2 ** 32, 2 ** 32))
+    with pytest.raises(FormatError, match="truncated while reading tensor values"):
+        read_checkpoint(tmp_path / "m.ckpt")
+
+
+def test_empty_tensor_with_unindexable_extent_rejected(tmp_path):
+    write_raw_checkpoint(tmp_path / "m.ckpt", b"w", (0, 2 ** 63))
+    with pytest.raises(FormatError, match="too large"):
+        read_checkpoint(tmp_path / "m.ckpt")
+
+
+def test_tensor_name_must_be_utf8(tmp_path):
+    write_raw_checkpoint(tmp_path / "m.ckpt", b"\xffw", (1,), struct.pack("<f", 1.0))
+    with pytest.raises(FormatError, match="not UTF-8"):
+        read_checkpoint(tmp_path / "m.ckpt")

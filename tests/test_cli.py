@@ -3,6 +3,7 @@
 import argparse
 import json
 import shutil
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 from cstnet.cli import DEFAULTS, config_from, load_config_file, main, resolve_config
 from cstnet.data import SynthSpec
 from cstnet.experiments import variant_flags
-from cstnet.io import read_checkpoint, read_tensor, write_tensor
+from cstnet.io import read_checkpoint, read_tensor, write_checkpoint, write_tensor
 from cstnet.model import Cstnet, CstnetConfig
 from cstnet.optim import AdamConfig
 from cstnet.presets import LEARNABILITY_DATA, desk_train_config
@@ -193,6 +194,9 @@ class TestTrain:
         ("--erase-p", "-2", "erase_p", "must be in [0, 1], got -2.0"),
         ("--margin", "-1", "margin", "must be >= 0, got -1.0"),
         ("--label-smoothing", "5", "label_smoothing", "must be in [0, 1), got 5.0"),
+        ("--lr", "-1", "lr", "must be >= 0, got -1.0"),
+        ("--weight-decay", "-0.1", "weight_decay", "must be >= 0, got -0.1"),
+        ("--lr-decay", "2", "lr_decay", "must be in (0, 1], got 2.0"),
     ]
 
     @pytest.mark.parametrize("flag, value, field, rule",
@@ -276,6 +280,28 @@ class TestEval:
                      "--data", str(tmp_path / "big" / "dataset"),
                      "--out", str(tmp_path / "e")]) == 1
 
+    def test_malformed_checkpoint_exits_one_naming_the_file(self, tmp_path, dataset_dir, capsys):
+        ckpt = tmp_path / "m.ckpt"
+        write_checkpoint(ckpt, "abc", {})
+        assert main(["eval", "--checkpoint", str(ckpt), "--data", str(dataset_dir),
+                     "--out", str(tmp_path / "e")]) == 1
+        assert capsys.readouterr().err == f"error: {ckpt}: config echo is not a JSON object\n"
+
+    def test_checkpoint_echoing_removed_fields_exits_one(self, tmp_path, dataset_dir, capsys):
+        # in_channels, input_scale and ncc_eps were config fields before they became constants
+        run = tmp_path / "run"
+        assert main(train_args(dataset_dir, run, epochs=0)) == 0
+        config, state = read_checkpoint(run / "checkpoint.ckpt")
+        old = tmp_path / "old.ckpt"
+        write_checkpoint(old, {**config, "in_channels": 3, "input_scale": 1.0, "ncc_eps": 1e-5},
+                         state)
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", str(old), "--data", str(dataset_dir),
+                     "--out", str(tmp_path / "e")]) == 1
+        err = capsys.readouterr().err
+        assert f"{old}: config echo does not describe a model" in err
+        assert "unexpected keyword argument 'in_channels'" in err
+
 
 class TestVerifyCommand:
     def test_injected_fault_fails_with_exit_two(self, capsys):
@@ -295,6 +321,23 @@ class TestVerifyCommand:
         cfg.write_text("out = somewhere\n")
         assert main([command, "--config", str(cfg)]) == 1
         assert "unknown key 'out' on line 1" in capsys.readouterr().err
+
+
+def field_names(*classes) -> set:
+    return {f.name for cls in classes for f in fields(cls)}
+
+
+class TestKeys:
+    """Every config field is a key of its command, so no value hides from the command line."""
+
+    def test_synth_keys_are_the_spec_fields(self):
+        assert set(DEFAULTS["synth"]) == field_names(SynthSpec) | {"out"}
+
+    def test_train_keys_are_the_config_fields_train_does_not_fill(self):
+        filled = {"num_identities", "frame_h", "frame_w", "with_csl", "with_sti", "adam"}
+        own = {"data", "out", "ablation", "checkpoint_every"}
+        configs = field_names(CstnetConfig, TrainConfig, AdamConfig)
+        assert set(DEFAULTS["train"]) == (configs - filled) | own
 
 
 class TestShippedConfigs:

@@ -79,9 +79,6 @@ class TestSpatialVolume:
                         slot = co * 6 + h * 2 + w
                         assert abs(vol[slot, h, w] - 1.0) < 1e-3
 
-    def test_single_frame_marker(self, rng):
-        assert build_spatial_volume(rng.standard_normal((1, 4, 3, 2)), 0) is None
-
     def test_frame_out_of_range(self, rng):
         with pytest.raises(ContractError):
             build_spatial_volume(rng.standard_normal((2, 4, 3, 2)), 2)
@@ -107,9 +104,6 @@ class TestChannelVolume:
         for co in range(2):
             for c in range(5):
                 assert abs(vol[co * 5 + c, c, 0, 0] - 1.0) < 1e-3
-
-    def test_single_frame_marker(self, rng):
-        assert build_channel_volume(rng.standard_normal((1, 4, 2, 2)), 0) is None
 
 
 @pytest.fixture

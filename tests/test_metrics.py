@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cstnet import model as model_module
 from cstnet.data import SequenceRecord, VideoDataset
 from cstnet.errors import ContractError
 from cstnet.metrics import evaluate, evenly_spaced_indices, ranking_metrics
@@ -164,6 +165,19 @@ class TestEvaluate:
         assert max(sizes) <= EMBED_BATCH
         assert sum(sizes) == len(ds.sequences)
 
+    def test_computes_only_query_by_gallery_distances(self, monkeypatch):
+        ds = tiny_eval_dataset(num_ids=5)
+        calls = []
+        distances = model_module.pairwise_distances
+
+        def recording(*args):
+            calls.append([np.shape(a) for a in args])
+            return distances(*args)
+
+        monkeypatch.setattr(model_module, "pairwise_distances", recording)
+        evaluate(StubModel(), ds, clip_len=4, max_rank=3)
+        assert calls == [[(5, 3), (5, 3)]]      # queries, then gallery; never Q+G rows
+
     def test_streaming_equals_embedding_each_stacked_split(self):
         # a gallery of more than one batch: same embeddings and metrics as
         # embed_clips on the whole stacked split
@@ -187,7 +201,7 @@ class TestEvaluate:
             embed_clips(np.stack([s.frames[evenly_spaced_indices(len(s.frames), 2)] for s in seqs]))
             for seqs in (queries, gallery)])
         assert np.array_equal(np.concatenate(embedded), whole)
-        ref = ranking_metrics(pairwise_distances(whole)[:len(queries), len(queries):],
+        ref = ranking_metrics(pairwise_distances(whole[:len(queries)], whole[len(queries):]),
                               [s.identity for s in queries], [s.identity for s in gallery],
                               [s.camera for s in queries], [s.camera for s in gallery], 5)
         assert np.array_equal(got.cmc, ref.cmc) and got.map == ref.map

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from cstnet.errors import ConfigError, ContractError
+from cstnet.errors import ConfigError, ContractError, DimensionError
 from cstnet.gradcheck import max_gradcheck_error
 from cstnet.model import Cstnet, CstnetConfig, ResidualStage, pairwise_distances
 from cstnet.tensor import Tensor, constant, mul, no_grad, tsum
@@ -70,10 +70,13 @@ class TestConfig:
         assert CstnetConfig.from_dict(cfg.to_dict()) == cfg
 
     def test_paper_scale_preset_expressible(self):
-        cfg = CstnetConfig.paper_scale(625)
-        assert cfg.stage_channels == (64, 256, 512, 1024, 2048)
-        assert cfg.clip_len == 8
-        assert cfg.csl_channels == 256
+        # the full-scale settings (256x128 frames, T=8, wide stages) are plain field values
+        cfg = CstnetConfig(num_identities=625, clip_len=8, frame_h=256, frame_w=128,
+                           stage_channels=(64, 256, 512, 1024, 2048),
+                           stage_strides=(2, 2, 2, 2, 2), embedding_dim=512,
+                           csl_channels=256, csl_pool_h=16, csl_pool_w=8,
+                           sti_channels=128, sti_pool_h=16, sti_pool_w=8)
+        assert cfg.stage_dims()[1] == (256, 64, 32)
         # buildable geometry at every insertion
         for stage in cfg.insertion_points:
             cfg.csl_config_for(stage)
@@ -180,3 +183,17 @@ class TestPairwiseDistances:
     def test_non_finite_rejected(self):
         with pytest.raises(ContractError):
             pairwise_distances(np.array([[np.nan, 0.0]]))
+        with pytest.raises(ContractError):
+            pairwise_distances(np.zeros((2, 2)), np.array([[np.inf, 0.0]]))
+
+    def test_two_sets_loop_oracle(self, rng):
+        a, b = rng.standard_normal((3, 4)), rng.standard_normal((5, 4))
+        d = pairwise_distances(a, b)
+        assert d.shape == (3, 5)
+        for i in range(3):
+            for j in range(5):
+                assert abs(d[i, j] - np.sqrt(((a[i] - b[j]) ** 2).sum())) < 1e-10
+
+    def test_two_sets_need_equal_dimensions(self, rng):
+        with pytest.raises(DimensionError):
+            pairwise_distances(rng.standard_normal((3, 4)), rng.standard_normal((3, 5)))

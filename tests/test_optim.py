@@ -65,7 +65,8 @@ def test_nan_gradient_aborts_with_name_and_step():
 
 def test_matches_reference_adam_trajectory(rng):
     """Cross-check several steps against a straightforward reimplementation."""
-    cfg = AdamConfig(lr=1e-2, beta1=0.9, beta2=0.999, eps=1e-8, weight_decay=0.1)
+    cfg = AdamConfig(lr=1e-2, weight_decay=0.1)
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
     p = Parameter(rng.standard_normal(6), dtype=np.float64)
     opt = Adam({"w": p}, cfg)
     ref = p.data.copy()
@@ -76,7 +77,7 @@ def test_matches_reference_adam_trajectory(rng):
         p.grad = grad.copy()
         opt.step()
         g = grad + cfg.weight_decay * ref
-        m = cfg.beta1 * m + (1 - cfg.beta1) * g
-        v = cfg.beta2 * v + (1 - cfg.beta2) * g * g
-        ref = ref - cfg.lr * (m / (1 - cfg.beta1 ** t)) / (np.sqrt(v / (1 - cfg.beta2 ** t)) + cfg.eps)
+        m = beta1 * m + (1 - beta1) * g
+        v = beta2 * v + (1 - beta2) * g * g
+        ref = ref - cfg.lr * (m / (1 - beta1 ** t)) / (np.sqrt(v / (1 - beta2 ** t)) + eps)
         assert np.abs(p.data - ref).max() < 1e-12
