@@ -1,18 +1,18 @@
 """Video person re-identification with co-saliency attention and
 spatial-temporal relation modules, on a self-contained autodiff engine."""
 
-from .csl import CoSaliencyAttention, CoSaliencyLearning, CslConfig
+from .csl import CoSaliencyAttention, CoSaliencyLearning
 from .data import SynthSpec, VideoDataset, generate_synthetic, load_dataset, save_dataset
 from .metrics import RankingMetrics, evaluate
 from .model import Cstnet, CstnetConfig, pairwise_distances
-from .sti import RelationFeatures, SpatialTemporalInteraction, StiConfig
+from .sti import RelationFeatures, SpatialTemporalInteraction
 from .tensor import Tensor, no_grad
 
 __all__ = [
-    "CoSaliencyAttention", "CoSaliencyLearning", "CslConfig",
+    "CoSaliencyAttention", "CoSaliencyLearning",
     "SynthSpec", "VideoDataset", "generate_synthetic", "load_dataset", "save_dataset",
     "RankingMetrics", "evaluate",
     "Cstnet", "CstnetConfig", "pairwise_distances",
-    "RelationFeatures", "SpatialTemporalInteraction", "StiConfig",
+    "RelationFeatures", "SpatialTemporalInteraction",
     "Tensor", "no_grad",
 ]

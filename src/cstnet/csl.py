@@ -50,25 +50,6 @@ from .tensor import (Tensor, adaptive_avg_pool2d, add, constant, matmul, mul, ne
 NCC_EPS = 1e-5
 
 
-@dataclass(frozen=True)
-class CslConfig:
-    """Dimension-reduction settings for one insertion point."""
-
-    c_in: int
-    c_l: int
-    h_l: int
-    w_l: int
-
-    def validate(self, feat_h: int, feat_w: int):
-        if self.c_l < 1 or self.c_l > self.c_in:
-            raise ConfigError(f"c_l must be in [1, c_in={self.c_in}], got {self.c_l}")
-        if self.h_l > feat_h or self.w_l > feat_w:
-            raise ConfigError(f"reduced extents ({self.h_l}, {self.w_l}) exceed feature "
-                              f"map ({feat_h}, {feat_w})")
-        if self.h_l * self.w_l < 2:
-            raise ConfigError("channel descriptors need at least 2 spatial positions")
-
-
 @dataclass
 class CoSaliencyAttention:
     """Per-frame spatial logits, channel logits, and the combined gate.
@@ -130,37 +111,41 @@ def _fused_logits(nd: Tensor, summarize: Conv2d) -> Tensor:
 class CoSaliencyLearning(Module):
     """Correlation-driven spatial-channel gating for one backbone stage."""
 
-    def __init__(self, cfg: CslConfig, clip_len: int, feat_h: int, feat_w: int, *,
-                 rng: np.random.Generator, dtype=np.float32):
+    def __init__(self, c_in: int, c_l: int, h_l: int, w_l: int, clip_len: int, feat_h: int,
+                 feat_w: int, *, rng: np.random.Generator, dtype=np.float32):
         super().__init__()
-        cfg.validate(feat_h, feat_w)
+        if c_l < 1 or c_l > c_in:
+            raise ConfigError(f"c_l must be in [1, c_in={c_in}], got {c_l}")
+        if h_l > feat_h or w_l > feat_w:
+            raise ConfigError(f"reduced extents ({h_l}, {w_l}) exceed feature map "
+                              f"({feat_h}, {feat_w})")
+        if h_l * w_l < 2:
+            raise ConfigError("channel descriptors need at least 2 spatial positions")
         if clip_len < 2:
             raise ConfigError(f"clip_len must be >= 2 for co-saliency, got {clip_len}")
-        self.cfg = cfg
-        self.clip_len = clip_len
-        self.feat_h = feat_h
-        self.feat_w = feat_w
-        self.reduce_spatial = Conv2d(cfg.c_in, cfg.c_l, 1, rng=rng, dtype=dtype)
-        self.bn_spatial = BatchNorm2d(cfg.c_l, dtype=dtype)
-        self.reduce_channel = Conv2d(cfg.c_in, cfg.c_in, 1, rng=rng, dtype=dtype)
-        self.bn_channel = BatchNorm2d(cfg.c_in, dtype=dtype)
+        self.c_in, self.c_l, self.h_l, self.w_l = c_in, c_l, h_l, w_l
+        self.clip_len, self.feat_h, self.feat_w = clip_len, feat_h, feat_w
+        self.reduce_spatial = Conv2d(c_in, c_l, 1, rng=rng, dtype=dtype)
+        self.bn_spatial = BatchNorm2d(c_l, dtype=dtype)
+        self.reduce_channel = Conv2d(c_in, c_in, 1, rng=rng, dtype=dtype)
+        self.bn_channel = BatchNorm2d(c_in, dtype=dtype)
         self.summarize_spatial = Conv2d((clip_len - 1) * feat_h * feat_w, 1, 1, rng=rng,
                                         dtype=dtype)
-        self.summarize_channel = Conv2d((clip_len - 1) * cfg.c_in, 1, 1, rng=rng, dtype=dtype)
+        self.summarize_channel = Conv2d((clip_len - 1) * c_in, 1, 1, rng=rng, dtype=dtype)
 
     def reduce_dims(self, f: Tensor) -> tuple[Tensor, Tensor]:
         """(B, T, C, H, W) -> spatial (B, T, C_L, H, W), channel (B, T, C, H_L, W_L)."""
         if f.ndim != 5:
             raise DimensionError(f"expected (B, T, C, H, W) features, got {f.shape}")
         b, t, c, h, w = f.shape
-        if c != self.cfg.c_in:
-            raise DimensionError(f"expected {self.cfg.c_in} channels, got {c}")
+        if c != self.c_in:
+            raise DimensionError(f"expected {self.c_in} channels, got {c}")
         frames = reshape(f, (b * t, c, h, w))
         sd = relu(self.bn_spatial(self.reduce_spatial(frames)))
-        pooled = adaptive_avg_pool2d(frames, self.cfg.h_l, self.cfg.w_l)
+        pooled = adaptive_avg_pool2d(frames, self.h_l, self.w_l)
         cd = relu(self.bn_channel(self.reduce_channel(pooled)))
-        return (reshape(sd, (b, t, self.cfg.c_l, h, w)),
-                reshape(cd, (b, t, c, self.cfg.h_l, self.cfg.w_l)))
+        return (reshape(sd, (b, t, self.c_l, h, w)),
+                reshape(cd, (b, t, c, self.h_l, self.w_l)))
 
     def attention(self, f: Tensor) -> CoSaliencyAttention:
         """Compute the co-saliency gate for (B, T, C, H, W) stage features."""

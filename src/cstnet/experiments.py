@@ -1,13 +1,14 @@
-"""Runnable experiments: learnability of the full model and the module
-ablation, both on shipped seeded presets.  Used by scripts/ and the
-acceptance tests.
+"""Runnable experiments on shipped seeded presets, used by
+``scripts/run_experiment.py`` and the acceptance tests.
+
+``EXPERIMENTS`` names each one: its dataset, the ablation variants it trains,
+its seeds and its epochs.  ``learnability`` trains the full model on the
+moderate-nuisance preset; ``ablation`` trains base, +csl, +sti and full on the
+high-clutter preset.  ``run_experiment`` trains every variant on every seed
+and returns the rank-1 of each.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
-
-import numpy as np
 
 from .data import generate_synthetic
 from .errors import ConfigError
@@ -23,64 +24,42 @@ ABLATIONS = {
     "sti": {"with_csl": False, "with_sti": True},
     "full": {"with_csl": True, "with_sti": True},
 }
-ABLATION_VARIANTS = tuple(ABLATIONS)
+
+# name -> (dataset, variants, seeds, epochs)
+EXPERIMENTS = {
+    "learnability": (LEARNABILITY_DATA, ("full",), (0, 1, 2), 50),
+    "ablation": (ABLATION_DATA, tuple(ABLATIONS), (0, 1, 2, 3, 4), 30),
+}
 
 
 def variant_flags(variant: str) -> dict:
     if variant not in ABLATIONS:
         raise ConfigError(f"unknown ablation variant {variant!r}; expected one of "
-                         f"{ABLATION_VARIANTS}")
+                          f"{tuple(ABLATIONS)}")
     return dict(ABLATIONS[variant])
 
 
-@dataclass
-class LearnabilityResult:
-    per_seed: dict = field(default_factory=dict)     # seed -> rank-1
-
-    @property
-    def median(self) -> float:
-        return float(np.median(list(self.per_seed.values())))
-
-
-def train_and_rank1(dataset, *, variant: str = "full", seed: int = 0,
-                    epochs: int = 50, clip_len: int = 4) -> float:
+def train_and_rank1(dataset, *, variant: str = "full", seed: int = 0, epochs: int = 50) -> float:
     num_ids = len({s.identity for s in dataset.of_split("train")})
-    cfg = CstnetConfig(num_identities=num_ids, clip_len=clip_len, seed=seed,
-                       **variant_flags(variant))
-    model = Cstnet(cfg)
+    model = Cstnet(CstnetConfig(num_identities=num_ids, seed=seed, **variant_flags(variant)))
     fit(model, dataset, desk_train_config(epochs=epochs, seed=seed))
-    return float(evaluate(model, dataset, clip_len=clip_len, max_rank=5).cmc[0])
+    return float(evaluate(model, dataset, clip_len=model.cfg.clip_len, max_rank=5).cmc[0])
 
 
-def run_learnability(seeds=(0, 1, 2), epochs: int = 50, progress=None) -> LearnabilityResult:
-    dataset = generate_synthetic(LEARNABILITY_DATA)
-    result = LearnabilityResult()
-    for seed in seeds:
-        result.per_seed[seed] = train_and_rank1(dataset, seed=seed, epochs=epochs)
-        if progress:
-            progress(f"learnability seed {seed}: rank-1 = {result.per_seed[seed]:.3f}")
-    return result
-
-
-@dataclass
-class AblationResult:
-    per_variant: dict = field(default_factory=dict)   # variant -> {seed: rank-1}
-
-    def median(self, variant: str) -> float:
-        return float(np.median(list(self.per_variant[variant].values())))
-
-    def summary(self) -> dict:
-        return {v: self.median(v) for v in self.per_variant}
-
-
-def run_ablation(seeds=(0, 1, 2, 3, 4), epochs: int = 30, progress=None) -> AblationResult:
-    dataset = generate_synthetic(ABLATION_DATA)
-    result = AblationResult()
-    for variant in ABLATION_VARIANTS:
-        result.per_variant[variant] = {}
+def run_experiment(name: str, seeds=None, epochs: int | None = None,
+                   progress=None) -> dict[str, dict[int, float]]:
+    """{variant: {seed: rank-1}} of experiment ``name``; ``seeds`` and
+    ``epochs`` default to the experiment's own."""
+    spec, variants, default_seeds, default_epochs = EXPERIMENTS[name]
+    seeds = default_seeds if seeds is None else seeds
+    epochs = default_epochs if epochs is None else epochs
+    dataset = generate_synthetic(spec)
+    result = {}
+    for variant in variants:
+        result[variant] = {}
         for seed in seeds:
             r1 = train_and_rank1(dataset, variant=variant, seed=seed, epochs=epochs)
-            result.per_variant[variant][seed] = r1
+            result[variant][seed] = r1
             if progress:
-                progress(f"ablation {variant} seed {seed}: rank-1 = {r1:.3f}")
+                progress(f"{name} {variant} seed {seed}: rank-1 = {r1:.3f}")
     return result

@@ -16,19 +16,32 @@ uses Euclidean distance on the pre-classifier embedding.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .csl import CoSaliencyLearning, CslConfig
+from .csl import CoSaliencyLearning
 from .data import FRAME_CHANNELS
 from .errors import ConfigError, ContractError, DimensionError
 from .nn import BatchNorm2d, Conv2d, Linear, Module
-from .sti import SpatialTemporalInteraction, StiConfig
+from .sti import SpatialTemporalInteraction
 from .tensor import Tensor, add, adaptive_avg_pool2d, constant, no_grad, relu, reshape, tmean
 
 # clips per eval-mode forward, in embed_clips and in metrics.evaluate
 EMBED_BATCH = 32
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# field annotation -> whether a value read from a checkpoint's echo fits it
+_ECHO_TYPE_CHECKS = {
+    "int": _is_int,
+    "bool": lambda value: isinstance(value, bool),
+    "str": lambda value: isinstance(value, str),
+    "tuple": lambda value: isinstance(value, (list, tuple)) and all(map(_is_int, value)),
+}
 
 
 @dataclass(frozen=True)
@@ -93,25 +106,21 @@ class CstnetConfig:
             dims.append((c, h, w))
         return dims
 
-    def csl_config_for(self, stage: int) -> CslConfig:
-        c, h, w = self.stage_dims()[stage - 1]
-        return CslConfig(c_in=c, c_l=min(self.csl_channels, c),
-                         h_l=min(self.csl_pool_h, h), w_l=min(self.csl_pool_w, w))
-
-    def sti_config_for(self, stage: int) -> StiConfig:
-        c, h, w = self.stage_dims()[stage - 1]
-        return StiConfig(c_in=c, c_1=min(self.sti_channels, c),
-                         h_1=min(self.sti_pool_h, h), w_1=min(self.sti_pool_w, w))
-
     def to_dict(self) -> dict:
         return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "CstnetConfig":
+        """The config that ``d`` (a checkpoint's echo) describes, each value of
+        the type of its field; a tuple field takes a list of ints."""
         d = dict(d)
-        for key in ("stage_channels", "stage_strides", "insertion_points"):
-            if key in d:
-                d[key] = tuple(d[key])
+        for f in fields(cls):
+            if f.name not in d:
+                continue
+            if not _ECHO_TYPE_CHECKS[f.type](d[f.name]):
+                raise ConfigError(f"{f.name} must be of type {f.type}, got {d[f.name]!r}")
+            if f.type == "tuple":
+                d[f.name] = tuple(d[f.name])
         return cls(**d)
 
 
@@ -162,14 +171,15 @@ class Cstnet(Module):
         self.stage5 = ResidualStage(chans[3], chans[4], strides[4], rng=rng, dtype=dtype)
         dims = cfg.stage_dims()
         for stage in sorted(cfg.insertion_points):
-            _, h, w = dims[stage - 1]
+            c, h, w = dims[stage - 1]       # each size capped at the stage's channels/extent
             if cfg.with_csl:
-                mod = CoSaliencyLearning(cfg.csl_config_for(stage), cfg.clip_len, h, w,
-                                         rng=rng, dtype=dtype)
-                setattr(self, f"csl{stage}", mod)
+                setattr(self, f"csl{stage}", CoSaliencyLearning(
+                    c, min(cfg.csl_channels, c), min(cfg.csl_pool_h, h), min(cfg.csl_pool_w, w),
+                    cfg.clip_len, h, w, rng=rng, dtype=dtype))
             if cfg.with_sti:
                 setattr(self, f"sti{stage}", SpatialTemporalInteraction(
-                    cfg.sti_config_for(stage), rng=rng, dtype=dtype))
+                    c, min(cfg.sti_channels, c), min(cfg.sti_pool_h, h), min(cfg.sti_pool_w, w),
+                    rng=rng, dtype=dtype))
         self.embed = Linear(chans[4], cfg.embedding_dim, rng=rng, dtype=dtype)
         self.classify = Linear(cfg.embedding_dim, cfg.num_identities, rng=rng, dtype=dtype)
 

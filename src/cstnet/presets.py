@@ -30,7 +30,5 @@ ABLATION_DATA = SynthSpec(
 DESK_LR = 1e-3          # small-model rate; the full-scale schedule uses 3e-4
 
 
-def desk_train_config(epochs: int, seed: int = 0, **overrides) -> TrainConfig:
-    kw = dict(epochs=epochs, p=8, k=2, seed=seed, adam=AdamConfig(lr=DESK_LR))
-    kw.update(overrides)
-    return TrainConfig(**kw)
+def desk_train_config(epochs: int, seed: int = 0) -> TrainConfig:
+    return TrainConfig(epochs=epochs, p=8, k=2, seed=seed, adam=AdamConfig(lr=DESK_LR))

@@ -27,23 +27,6 @@ from .tensor import (Tensor, adaptive_avg_pool2d, add, matmul, mul, permute, res
                      softmax, tmean)
 
 
-@dataclass(frozen=True)
-class StiConfig:
-    """Inner channel count and pooled key/value extents for one insertion."""
-
-    c_in: int
-    c_1: int
-    h_1: int
-    w_1: int
-
-    def validate(self, feat_h: int, feat_w: int):
-        if self.c_1 < 1 or self.c_1 > self.c_in:
-            raise ConfigError(f"c_1 must be in [1, c_in={self.c_in}], got {self.c_1}")
-        if self.h_1 > feat_h or self.w_1 > feat_w:
-            raise ConfigError(f"pooled extents ({self.h_1}, {self.w_1}) exceed feature "
-                              f"map ({feat_h}, {feat_w})")
-
-
 @dataclass
 class RelationFeatures:
     """Relation features and their attention maps.
@@ -59,34 +42,38 @@ class RelationFeatures:
 
 
 class SpatialTemporalInteraction(Module):
-    def __init__(self, cfg: StiConfig, *, rng: np.random.Generator, dtype=np.float32):
+    def __init__(self, c_in: int, c_1: int, h_1: int, w_1: int, *, rng: np.random.Generator,
+                 dtype=np.float32):
         super().__init__()
-        self.cfg = cfg
-        c, c1 = cfg.c_in, cfg.c_1
+        if c_1 < 1 or c_1 > c_in:
+            raise ConfigError(f"c_1 must be in [1, c_in={c_in}], got {c_1}")
+        self.c_in, self.c_1, self.h_1, self.w_1 = c_in, c_1, h_1, w_1
         # spatial block: query/key share one projection; output conv starts at zero
-        self.qk_spatial = Conv2d(c, c1, 1, rng=rng, dtype=dtype)
-        self.v_spatial = Conv2d(c, c1, 1, rng=rng, dtype=dtype)
-        self.out_spatial = Conv2d(c1, c, 1, rng=rng, dtype=dtype, zero_init=True)
+        self.qk_spatial = Conv2d(c_in, c_1, 1, rng=rng, dtype=dtype)
+        self.v_spatial = Conv2d(c_in, c_1, 1, rng=rng, dtype=dtype)
+        self.out_spatial = Conv2d(c_1, c_in, 1, rng=rng, dtype=dtype, zero_init=True)
         # temporal block: 1x1 projections along the channel axis
-        self.qk_temporal = Linear(c, c1, rng=rng, dtype=dtype)
-        self.v_temporal = Linear(c, c1, rng=rng, dtype=dtype)
-        self.out_temporal = Linear(c1, c, rng=rng, dtype=dtype, zero_init=True)
+        self.qk_temporal = Linear(c_in, c_1, rng=rng, dtype=dtype)
+        self.v_temporal = Linear(c_in, c_1, rng=rng, dtype=dtype)
+        self.out_temporal = Linear(c_1, c_in, rng=rng, dtype=dtype, zero_init=True)
         # cross gates: each relation feature is weighed by the other's pool
-        self.gate_spatial = Linear(c, c, rng=rng, dtype=dtype)
-        self.gate_temporal = Linear(c, c, rng=rng, dtype=dtype)
+        self.gate_spatial = Linear(c_in, c_in, rng=rng, dtype=dtype)
+        self.gate_temporal = Linear(c_in, c_in, rng=rng, dtype=dtype)
 
     def _check(self, f: Tensor):
         if f.ndim != 5:
             raise DimensionError(f"expected (B, T, C, H, W) features, got {f.shape}")
-        if f.shape[2] != self.cfg.c_in:
-            raise DimensionError(f"expected {self.cfg.c_in} channels, got {f.shape[2]}")
-        self.cfg.validate(f.shape[3], f.shape[4])
+        if f.shape[2] != self.c_in:
+            raise DimensionError(f"expected {self.c_in} channels, got {f.shape[2]}")
+        if self.h_1 > f.shape[3] or self.w_1 > f.shape[4]:
+            raise ConfigError(f"pooled extents ({self.h_1}, {self.w_1}) exceed feature map "
+                              f"({f.shape[3]}, {f.shape[4]})")
 
     def spatial_relation(self, f: Tensor) -> tuple[Tensor, Tensor]:
         """Per-frame non-local attention over pooled key positions."""
         self._check(f)
         b, t, c, h, w = f.shape
-        c1, h1, w1 = self.cfg.c_1, self.cfg.h_1, self.cfg.w_1
+        c1, h1, w1 = self.c_1, self.h_1, self.w_1
         frames = reshape(f, (b * t, c, h, w))
         qk = self.qk_spatial(frames)                              # (BT, C1, H, W)
         q = reshape(qk, (b * t, c1, h * w))
@@ -102,7 +89,7 @@ class SpatialTemporalInteraction(Module):
         """Per-position attention across frames."""
         self._check(f)
         b, t, c, h, w = f.shape
-        c1 = self.cfg.c_1
+        c1 = self.c_1
         x = reshape(permute(f, (0, 3, 4, 1, 2)), (b * h * w, t, c))
         qk = self.qk_temporal(x)                                  # (BHW, T, C1)
         v = self.v_temporal(x)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import faults, tensor as T
-from .csl import NCC_EPS, CoSaliencyLearning, CslConfig
+from .csl import NCC_EPS, CoSaliencyLearning
 from .errors import ContractError, DimensionError
 from .gradcheck import check_op, max_gradcheck_error
 from .losses import batch_hard_triplet, label_smooth_ce
@@ -35,7 +35,7 @@ from .metrics import ranking_metrics
 from .model import Cstnet, CstnetConfig, pairwise_distances
 from .nn import BatchNorm2d
 from .optim import Adam, AdamConfig
-from .sti import SpatialTemporalInteraction, StiConfig
+from .sti import SpatialTemporalInteraction
 from .tensor import Tensor, constant, mul, no_grad, tsum
 
 
@@ -179,7 +179,7 @@ def sti_relations_loops(block: SpatialTemporalInteraction, f):
     (f_s, f_t, m_s, m_t) shaped as the fields of ``block.relations(f)``."""
     f = np.asarray(f, np.float64)
     b, t, c, h, w = f.shape
-    c1, h1, w1 = block.cfg.c_1, block.cfg.h_1, block.cfg.w_1
+    c1, h1, w1 = block.c_1, block.h_1, block.w_1
 
     def project(layer, x):                  # a 1x1 projection of (C_in, n) columns
         weight = layer.weight.data.astype(np.float64)
@@ -334,7 +334,7 @@ def _composite_gradients() -> list[PropertyResult]:
     rng = np.random.default_rng(23)
     results = []
 
-    csl = CoSaliencyLearning(CslConfig(c_in=8, c_l=4, h_l=2, w_l=2), clip_len=3,
+    csl = CoSaliencyLearning(8, 4, 2, 2, clip_len=3,
                              feat_h=4, feat_w=4, rng=rng, dtype=np.float64)
     x = Tensor(rng.standard_normal((1, 3, 8, 4, 4)), requires_grad=True)
     proj = rng.standard_normal((1, 3, 8, 4, 4))
@@ -343,8 +343,7 @@ def _composite_gradients() -> list[PropertyResult]:
                               rng=np.random.default_rng(5))
     results.append(PropertyResult("grad/csl_forward", err <= 1e-4, err, 1e-4))
 
-    sti = SpatialTemporalInteraction(StiConfig(c_in=8, c_1=4, h_1=2, w_1=2),
-                                     rng=rng, dtype=np.float64)
+    sti = SpatialTemporalInteraction(8, 4, 2, 2, rng=rng, dtype=np.float64)
     sti.out_spatial.weight.data = 0.3 * rng.standard_normal(sti.out_spatial.weight.shape)
     sti.out_temporal.weight.data = 0.3 * rng.standard_normal(sti.out_temporal.weight.shape)
     xs = Tensor(rng.standard_normal((1, 2, 8, 4, 4)), requires_grad=True)
@@ -469,7 +468,7 @@ def _fused_cosaliency_oracle() -> list[PropertyResult]:
     cases = 0
     for t_len in (2, 3, 4):
         for c, h, w in ((4, 2, 2), (8, 4, 4), (6, 4, 3), (16, 3, 2)):
-            csl = CoSaliencyLearning(CslConfig(c_in=c, c_l=4, h_l=2, w_l=2), clip_len=t_len,
+            csl = CoSaliencyLearning(c, 4, 2, 2, clip_len=t_len,
                                      feat_h=h, feat_w=w, rng=rng, dtype=np.float64)
             csl.summarize_spatial.bias.data[...] = rng.standard_normal(1)
             csl.summarize_channel.bias.data[...] = rng.standard_normal(1)
@@ -487,7 +486,7 @@ def _attention_invariants() -> list[PropertyResult]:
     rng = np.random.default_rng(53)
     results = []
 
-    csl = CoSaliencyLearning(CslConfig(c_in=8, c_l=4, h_l=2, w_l=2), clip_len=3,
+    csl = CoSaliencyLearning(8, 4, 2, 2, clip_len=3,
                              feat_h=4, feat_w=4, rng=rng, dtype=np.float64)
     with no_grad():
         att = csl.attention(Tensor(rng.standard_normal((2, 3, 8, 4, 4))))
@@ -497,16 +496,14 @@ def _attention_invariants() -> list[PropertyResult]:
     results.append(PropertyResult("invariant/gate_in_unit_interval", strict, margin, 0.0,
                                   detail=f"range [{z.min():.3e}, {z.max():.3e}]"))
 
-    sti = SpatialTemporalInteraction(StiConfig(c_in=8, c_1=4, h_1=2, w_1=2),
-                                     rng=rng, dtype=np.float64)
+    sti = SpatialTemporalInteraction(8, 4, 2, 2, rng=rng, dtype=np.float64)
     with no_grad():
         rel = sti.relations(Tensor(rng.standard_normal((2, 3, 8, 4, 4))))
     dev = max(abs(rel.m_s.data.sum(axis=2) - 1.0).max(),
               abs(rel.m_t.data.sum(axis=2) - 1.0).max())
     results.append(PropertyResult("invariant/attention_normalized", dev <= 1e-6, dev, 1e-6))
 
-    fresh = SpatialTemporalInteraction(StiConfig(c_in=8, c_1=4, h_1=2, w_1=2),
-                                       rng=rng, dtype=np.float64)
+    fresh = SpatialTemporalInteraction(8, 4, 2, 2, rng=rng, dtype=np.float64)
     x = Tensor(rng.standard_normal((2, 3, 8, 4, 4)))
     with no_grad():
         out = fresh(x)
@@ -522,8 +519,7 @@ def _sti_oracle() -> list[PropertyResult]:
     worst = 0.0
     for t_len in (1, 2, 3):
         for h, w in ((4, 4), (5, 3)):
-            block = SpatialTemporalInteraction(StiConfig(c_in=8, c_1=4, h_1=2, w_1=2),
-                                               rng=rng, dtype=np.float64)
+            block = SpatialTemporalInteraction(8, 4, 2, 2, rng=rng, dtype=np.float64)
             for p in (*block.out_spatial.parameters(), *block.out_temporal.parameters()):
                 p.data = 0.4 * rng.standard_normal(p.shape)
             f = rng.standard_normal((2, t_len, 8, h, w))

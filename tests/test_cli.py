@@ -302,6 +302,22 @@ class TestEval:
         assert f"{old}: config echo does not describe a model" in err
         assert "unexpected keyword argument 'in_channels'" in err
 
+    @pytest.mark.parametrize("field, value", [
+        ("embedding_dim", 64.5), ("clip_len", 2.0), ("stage_channels", [4, 8.5, 8, 8, 8]),
+        ("seed", 1.5), ("with_csl", "yes")])
+    def test_checkpoint_echo_value_of_wrong_type_exits_one(self, tmp_path, dataset_dir, capsys,
+                                                           field, value):
+        run = tmp_path / "run"
+        assert main(train_args(dataset_dir, run, epochs=0)) == 0
+        config, state = read_checkpoint(run / "checkpoint.ckpt")
+        bad = tmp_path / "bad.ckpt"
+        write_checkpoint(bad, {**config, field: value}, state)
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", str(bad), "--data", str(dataset_dir),
+                     "--out", str(tmp_path / "e")]) == 1
+        err = capsys.readouterr().err
+        assert f"{bad}: config echo does not describe a model ({field} must be" in err
+
 
 class TestVerifyCommand:
     def test_injected_fault_fails_with_exit_two(self, capsys):

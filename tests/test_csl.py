@@ -7,7 +7,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from cstnet import faults
-from cstnet.csl import CoSaliencyLearning, CslConfig
+from cstnet.csl import CoSaliencyLearning
 from cstnet.errors import ConfigError, ContractError
 from cstnet.gradcheck import max_gradcheck_error
 from cstnet.tensor import Tensor, constant, mul, no_grad, tsum
@@ -108,15 +108,14 @@ class TestChannelVolume:
 
 @pytest.fixture
 def module(rng):
-    cfg = CslConfig(c_in=8, c_l=4, h_l=2, w_l=2)
-    return CoSaliencyLearning(cfg, clip_len=3, feat_h=4, feat_w=4, rng=rng, dtype=np.float64)
+    return CoSaliencyLearning(8, 4, 2, 2, clip_len=3, feat_h=4, feat_w=4, rng=rng,
+                              dtype=np.float64)
 
 
 class TestReduceDims:
     def test_shape_contract_full_scale_settings(self, rng):
         # C = C_L = 256 at the stage-2 width; pooled route keeps all channels
-        cfg = CslConfig(c_in=256, c_l=256, h_l=16, w_l=8)
-        mod = CoSaliencyLearning(cfg, clip_len=8, feat_h=32, feat_w=16,
+        mod = CoSaliencyLearning(256, 256, 16, 8, clip_len=8, feat_h=32, feat_w=16,
                                  rng=rng, dtype=np.float32)
         f = Tensor(rng.standard_normal((1, 8, 256, 32, 16)).astype(np.float32))
         with no_grad():
@@ -127,8 +126,7 @@ class TestReduceDims:
     def test_single_frame_clip_rejected(self, rng):
         # a frame without co-frames has nothing to correlate with
         with pytest.raises(ConfigError, match="clip_len must be >= 2"):
-            CoSaliencyLearning(CslConfig(c_in=8, c_l=4, h_l=2, w_l=2), clip_len=1,
-                               feat_h=4, feat_w=4, rng=rng)
+            CoSaliencyLearning(8, 4, 2, 2, clip_len=1, feat_h=4, feat_w=4, rng=rng)
 
     def test_zero_input_gives_zero_descriptors(self, module):
         with no_grad():
@@ -138,8 +136,7 @@ class TestReduceDims:
 
     def test_pool_larger_than_map_rejected(self, rng):
         with pytest.raises(ConfigError):
-            CoSaliencyLearning(CslConfig(c_in=8, c_l=4, h_l=8, w_l=8),
-                               clip_len=2, feat_h=4, feat_w=4, rng=rng)
+            CoSaliencyLearning(8, 4, 8, 8, clip_len=2, feat_h=4, feat_w=4, rng=rng)
 
 
 class TestAttention:
@@ -184,7 +181,7 @@ class TestFusedLogits:
 
     @staticmethod
     def build(rng, t_len, c, h, w, dtype):
-        mod = CoSaliencyLearning(CslConfig(c_in=c, c_l=4, h_l=2, w_l=2), clip_len=t_len,
+        mod = CoSaliencyLearning(c, 4, 2, 2, clip_len=t_len,
                                  feat_h=h, feat_w=w, rng=rng, dtype=dtype)
         mod.summarize_spatial.bias.data[...] = 0.3
         mod.summarize_channel.bias.data[...] = -0.2

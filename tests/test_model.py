@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from cstnet.csl import CoSaliencyLearning
 from cstnet.errors import ConfigError, ContractError, DimensionError
 from cstnet.gradcheck import max_gradcheck_error
 from cstnet.model import Cstnet, CstnetConfig, ResidualStage, pairwise_distances
+from cstnet.sti import SpatialTemporalInteraction
 from cstnet.tensor import Tensor, constant, mul, no_grad, tsum
 
 
@@ -77,10 +79,14 @@ class TestConfig:
                            csl_channels=256, csl_pool_h=16, csl_pool_w=8,
                            sti_channels=128, sti_pool_h=16, sti_pool_w=8)
         assert cfg.stage_dims()[1] == (256, 64, 32)
-        # buildable geometry at every insertion
+        # every insertion's modules build at these sizes, none capped by its stage map
+        rng = np.random.default_rng(0)
         for stage in cfg.insertion_points:
-            cfg.csl_config_for(stage)
-            cfg.sti_config_for(stage)
+            c, h, w = cfg.stage_dims()[stage - 1]
+            CoSaliencyLearning(c, cfg.csl_channels, cfg.csl_pool_h, cfg.csl_pool_w,
+                               cfg.clip_len, h, w, rng=rng)
+            SpatialTemporalInteraction(c, cfg.sti_channels, cfg.sti_pool_h, cfg.sti_pool_w,
+                                       rng=rng)
 
 
 class TestForward:

@@ -5,15 +5,14 @@ import pytest
 
 from cstnet.errors import ConfigError, DimensionError
 from cstnet.gradcheck import max_gradcheck_error
-from cstnet.sti import SpatialTemporalInteraction, StiConfig
+from cstnet.sti import SpatialTemporalInteraction
 from cstnet.tensor import Tensor, constant, mul, no_grad, tsum
 from cstnet.verify import sti_relations_loops
 
 
 @pytest.fixture
 def block(rng):
-    return SpatialTemporalInteraction(StiConfig(c_in=8, c_1=4, h_1=2, w_1=2),
-                                      rng=rng, dtype=np.float64)
+    return SpatialTemporalInteraction(8, 4, 2, 2, rng=rng, dtype=np.float64)
 
 
 def randomized(block, rng, scale=0.4):
@@ -127,8 +126,7 @@ class TestFusion:
                                  Tensor(np.zeros((1, 2, 8, 4, 4))))
 
     def test_fusion_gradient_check(self, rng):
-        block = SpatialTemporalInteraction(StiConfig(c_in=4, c_1=2, h_1=2, w_1=2),
-                                           rng=rng, dtype=np.float64)
+        block = SpatialTemporalInteraction(4, 2, 2, 2, rng=rng, dtype=np.float64)
         f_s = Tensor(rng.standard_normal((1, 2, 4, 2, 2)), requires_grad=True)
         f_t = Tensor(rng.standard_normal((1, 2, 4, 2, 2)), requires_grad=True)
         proj = rng.standard_normal((1, 2, 4, 2, 2))
@@ -157,8 +155,10 @@ class TestForward:
         with pytest.raises(DimensionError):
             block(Tensor(rng.standard_normal((1, 2, 4, 4, 4))))
 
-    def test_inner_channels_capped_by_config_validation(self, rng):
-        cfg = StiConfig(c_in=4, c_1=8, h_1=2, w_1=2)
-        block = SpatialTemporalInteraction(cfg, rng=rng, dtype=np.float64)
-        with pytest.raises(ConfigError):
-            block(Tensor(rng.standard_normal((1, 2, 4, 4, 4))))
+    def test_inner_channels_above_input_rejected_at_construction(self, rng):
+        with pytest.raises(ConfigError, match=r"c_1 must be in \[1, c_in=4\], got 8"):
+            SpatialTemporalInteraction(4, 8, 2, 2, rng=rng, dtype=np.float64)
+
+    def test_pooled_extents_above_map_rejected(self, block, rng):
+        with pytest.raises(ConfigError, match=r"pooled extents \(2, 2\) exceed feature map"):
+            block(Tensor(rng.standard_normal((1, 2, 8, 1, 4))))
