@@ -14,9 +14,11 @@ def save_model(path, model: Cstnet):
 def load_model(path) -> Cstnet:
     config, state = read_checkpoint(path)
     try:
-        cfg = CstnetConfig.from_dict(config)
+        model = Cstnet(CstnetConfig.from_dict(config))
     except (TypeError, ConfigError) as exc:
         raise FormatError(f"{path}: config echo does not describe a model ({exc})") from None
-    model = Cstnet(cfg)
-    model.load_state(state)
+    try:
+        model.load_state(state)
+    except ConfigError as exc:
+        raise FormatError(f"{path}: {exc}") from None
     return model

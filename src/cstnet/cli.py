@@ -32,6 +32,7 @@ from .data import (FRAME_CHANNELS, SynthSpec, dataset_census, generate_synthetic
                    load_dataset, save_dataset)
 from .errors import ConfigError, ContractError, DimensionError, FormatError, NumericError
 from .experiments import variant_flags
+from .io import read_file
 from .metrics import evaluate
 from .model import Cstnet, CstnetConfig
 from .optim import AdamConfig
@@ -84,8 +85,7 @@ def config_from(cls, resolved: dict, **filled):
 def load_config_file(path, schema: dict) -> dict:
     """Parse ``key = value`` lines typed by ``schema`` (key -> default); unknown keys are rejected."""
     values = {}
-    text = Path(path).read_text()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(read_file(path, text=True).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -268,8 +268,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
         return args.fn(args)
-    except (ConfigError, ContractError, DimensionError, FormatError, NumericError,
-            FileNotFoundError) as exc:
+    except (ConfigError, ContractError, DimensionError, FormatError, NumericError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -39,8 +39,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ContractError, FormatError
-from .io import read_tensor, write_tensor
+from .errors import ConfigError, ContractError, FormatError
+from .io import read_file, read_tensor, write_tensor
 
 SPLITS = ("train", "query", "gallery")
 FRAME_CHANNELS = 3          # every frame is RGB
@@ -111,25 +111,25 @@ class SynthSpec:
     occlusion_p: float = 0.0
     seed: int = 0
 
-    def validate(self):
+    def __post_init__(self):
         if self.num_identities < 1:
-            raise ContractError("num_identities must be >= 1")
+            raise ConfigError("num_identities must be >= 1")
         if self.cams < 1 or self.seqs_per_cam < 1:
-            raise ContractError("cams and seqs_per_cam must be >= 1")
+            raise ConfigError("cams and seqs_per_cam must be >= 1")
         if not 1 <= self.seq_len_min <= self.seq_len_max:
-            raise ContractError("need 1 <= seq_len_min <= seq_len_max")
+            raise ConfigError("need 1 <= seq_len_min <= seq_len_max")
         if self.frame_h < 16 or self.frame_w < 8:
-            raise ContractError("frames must be at least 16x8")
+            raise ConfigError("frames must be at least 16x8")
         if self.clutter < 0:
-            raise ContractError("clutter std must be >= 0")
+            raise ConfigError("clutter std must be >= 0")
         if not 0.0 <= self.occlusion_p <= 1.0:
-            raise ContractError("occlusion_p must be in [0, 1]")
+            raise ConfigError("occlusion_p must be in [0, 1]")
         if len(self.illum_scale) != 2 or len(self.illum_shift) != 2:
-            raise ContractError("illum_scale and illum_shift must each be a (lo, hi) pair")
+            raise ConfigError("illum_scale and illum_shift must each be a (lo, hi) pair")
         if self.illum_scale[0] <= 0 or self.illum_scale[0] > self.illum_scale[1]:
-            raise ContractError("illum_scale must satisfy 0 < lo <= hi")
+            raise ConfigError("illum_scale must satisfy 0 < lo <= hi")
         if self.illum_shift[0] > self.illum_shift[1]:
-            raise ContractError("illum_shift must satisfy lo <= hi")
+            raise ConfigError("illum_shift must satisfy lo <= hi")
 
 
 @dataclass
@@ -226,7 +226,6 @@ def _smooth_texture(rng: np.random.Generator, h: int, w: int) -> np.ndarray:
 
 def generate_synthetic(spec: SynthSpec) -> VideoDataset:
     """Deterministic synthetic dataset for the given spec (seeded)."""
-    spec.validate()
     rng = np.random.default_rng(np.random.PCG64(spec.seed))
     h, w = spec.frame_h, spec.frame_w
     signatures = _make_signatures(rng, spec.num_identities)
@@ -316,10 +315,8 @@ def save_dataset(dataset: VideoDataset, path):
 def load_dataset(path) -> VideoDataset:
     root = Path(path)
     index = root / "index.txt"
-    if not index.is_file():
-        raise FormatError(f"{index}: missing dataset index")
     sequences = []
-    for lineno, line in enumerate(index.read_text().splitlines(), start=1):
+    for lineno, line in enumerate(read_file(index, text=True).splitlines(), start=1):
         if not line.strip():
             continue
         parts = line.split()
@@ -340,6 +337,8 @@ def load_dataset(path) -> VideoDataset:
         if frames.ndim != 4 or frames.shape[1] != FRAME_CHANNELS:
             raise FormatError(f"{fpath}: expected a (L, {FRAME_CHANNELS}, H, W) frame stack, "
                               f"got shape {frames.shape}")
+        if not np.isfinite(frames).all():
+            raise FormatError(f"{fpath}: frames hold non-finite values")
         sequences.append(SequenceRecord(identity, camera, split,
                                         frames.astype(np.float32, copy=False)))
     dataset = VideoDataset(sequences)

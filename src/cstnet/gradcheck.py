@@ -12,10 +12,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .tensor import Tensor, no_grad
+from .tensor import Tensor, constant, mul, no_grad, tsum
 
-DEFAULT_STEP = 1e-5
-DEFAULT_TOL = 1e-4
+STEP = 1e-5
+TOL = 1e-4              # the error above which a coordinate is re-probed at STEP / 10
+PROJECTION_SEED = 1
 
 
 def relative_error(a: float, b: float) -> float:
@@ -23,17 +24,19 @@ def relative_error(a: float, b: float) -> float:
 
 
 def max_gradcheck_error(fn: Callable[[], Tensor], leaves: Sequence[Tensor], *,
-                        step: float = DEFAULT_STEP, coords_per_leaf: int | None = None,
+                        coords_per_leaf: int | None = None,
                         rng: np.random.Generator | None = None) -> float:
     """Largest relative error between analytic and central-difference gradients.
 
     ``fn`` must rebuild the forward graph from the current ``leaves`` data on
-    every call and return a scalar loss.  Each leaf is perturbed coordinate by
-    coordinate; when a leaf has more than ``coords_per_leaf`` entries a seeded
-    random subset is probed instead of every coordinate.
+    every call.  A non-scalar output is contracted to a scalar with one fixed
+    random projection, drawn on the first call, so that sign errors cannot
+    cancel.  Each leaf is perturbed coordinate by coordinate; when a leaf has
+    more than ``coords_per_leaf`` entries a seeded random subset is probed
+    instead of every coordinate.
 
-    A coordinate whose difference quotient disagrees at ``step`` is re-probed
-    at ``step / 10``: truncation error at a ReLU kink or a stiff region
+    A coordinate whose difference quotient disagrees at ``STEP`` is re-probed
+    at ``STEP / 10``: truncation error at a ReLU kink or a stiff region
     collapses quadratically with the step, while a wrong backward rule keeps
     its O(1) mismatch, so the retry separates the two.  The better of the two
     errors is reported per coordinate.
@@ -44,8 +47,18 @@ def max_gradcheck_error(fn: Callable[[], Tensor], leaves: Sequence[Tensor], *,
         leaf.requires_grad = True
         leaf.zero_grad()
 
-    loss = fn()
-    loss.backward()
+    projection = None
+
+    def scalar() -> Tensor:
+        nonlocal projection
+        out = fn()
+        if out.ndim == 0:
+            return out
+        if projection is None:
+            projection = constant(np.random.default_rng(PROJECTION_SEED).standard_normal(out.shape))
+        return tsum(mul(out, projection))
+
+    scalar().backward()
     analytic = []
     for leaf in leaves:
         analytic.append(np.zeros_like(leaf.data) if leaf.grad is None else leaf.grad.copy())
@@ -66,38 +79,24 @@ def max_gradcheck_error(fn: Callable[[], Tensor], leaves: Sequence[Tensor], *,
             orig = flat[i]
             flat[i] = orig + h
             with no_grad():
-                fp = fn().item()
+                fp = scalar().item()
             flat[i] = orig - h
             with no_grad():
-                fm = fn().item()
+                fm = scalar().item()
             flat[i] = orig
             return (fp - fm) / (2.0 * h)
 
         for i in coords:
-            err = relative_error(central_difference(i, step), gflat[i])
-            if err > DEFAULT_TOL:
-                err = min(err, relative_error(central_difference(i, step / 10.0), gflat[i]))
+            err = relative_error(central_difference(i, STEP), gflat[i])
+            if err > TOL:
+                err = min(err, relative_error(central_difference(i, STEP / 10.0), gflat[i]))
             worst = max(worst, err)
     return worst
 
 
 def check_op(build: Callable[..., Tensor], arrays: Sequence[np.ndarray], *,
-             step: float = DEFAULT_STEP, coords_per_leaf: int | None = None,
-             seed: int = 0) -> float:
-    """Gradcheck a pure op: ``build(*leaf_tensors)`` returns the op output.
-
-    The output is contracted to a scalar with a fixed random projection so
-    that sign errors cannot cancel; returns the max relative error.
-    """
+             coords_per_leaf: int | None = None) -> float:
+    """Gradcheck a pure op: ``build(*leaf_tensors)`` returns the op output;
+    returns the max relative error."""
     leaves = [Tensor(np.asarray(a, dtype=np.float64).copy(), requires_grad=True) for a in arrays]
-    rng = np.random.default_rng(seed)
-    proj_holder = {}
-
-    def fn() -> Tensor:
-        out = build(*leaves)
-        if "p" not in proj_holder:
-            proj_holder["p"] = np.random.default_rng(seed + 1).standard_normal(out.shape)
-        from .tensor import constant, mul, tsum
-        return tsum(mul(out, constant(proj_holder["p"])))
-
-    return max_gradcheck_error(fn, leaves, step=step, coords_per_leaf=coords_per_leaf, rng=rng)
+    return max_gradcheck_error(lambda: build(*leaves), leaves, coords_per_leaf=coords_per_leaf)

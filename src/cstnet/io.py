@@ -56,13 +56,32 @@ def _pack_array(arr: np.ndarray) -> bytes:
     return b"".join(parts)
 
 
-class _Reader:
-    """Reads a file's bytes front to back; ``take`` returns views, not copies."""
+def read_file(path, text: bool = False):
+    """The bytes of ``path``, or its UTF-8 text with ``text``; a read that fails
+    is a FormatError naming the path."""
+    try:
+        data = Path(path).read_bytes()
+        return data.decode("utf-8") if text else data
+    except OSError as exc:
+        raise FormatError(f"{path}: cannot read ({exc.strerror or exc})") from None
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text at offset {exc.start}") from None
 
-    def __init__(self, data: bytes, name: str):
-        self.data = memoryview(data)
-        self.name = name
+
+class _Reader:
+    """Reads a container front to back after checking its magic and version;
+    ``take`` returns views, not copies."""
+
+    def __init__(self, path, magic: bytes):
+        self.name = str(path)
+        self.data = memoryview(read_file(path))
         self.offset = 0
+        found = self.take(4, "magic")
+        if found != magic:
+            raise FormatError(f"{self.name}: bad magic {bytes(found)!r} at offset 0")
+        (version,) = struct.unpack("<H", self.take(2, "version"))
+        if version != FORMAT_VERSION:
+            raise FormatError(f"{self.name}: unsupported format version {version} at offset 4")
 
     def take(self, n: int, what: str) -> memoryview:
         if self.offset + n > len(self.data):
@@ -85,6 +104,11 @@ class _Reader:
         except ValueError:      # an empty array with an extent numpy cannot index
             raise FormatError(f"{self.name}: extents {shape} at offset {at} are too large") from None
 
+    def finish(self):
+        if self.offset != len(self.data):
+            raise FormatError(f"{self.name}: {len(self.data) - self.offset} trailing bytes "
+                              f"at offset {self.offset}")
+
 
 def write_tensor(path, arr: np.ndarray):
     payload = TENSOR_MAGIC + struct.pack("<H", FORMAT_VERSION) + _pack_array(arr)
@@ -92,18 +116,9 @@ def write_tensor(path, arr: np.ndarray):
 
 
 def read_tensor(path) -> np.ndarray:
-    path = Path(path)
-    reader = _Reader(path.read_bytes(), str(path))
-    magic = reader.take(4, "magic")
-    if magic != TENSOR_MAGIC:
-        raise FormatError(f"{path}: bad magic {bytes(magic)!r} at offset 0")
-    (version,) = struct.unpack("<H", reader.take(2, "version"))
-    if version != FORMAT_VERSION:
-        raise FormatError(f"{path}: unsupported format version {version} at offset 4")
+    reader = _Reader(path, TENSOR_MAGIC)
     arr = reader.unpack_array()
-    if reader.offset != len(reader.data):
-        raise FormatError(f"{path}: {len(reader.data) - reader.offset} trailing bytes "
-                          f"at offset {reader.offset}")
+    reader.finish()
     return arr
 
 
@@ -120,14 +135,7 @@ def write_checkpoint(path, config: dict, state: dict[str, np.ndarray]):
 
 
 def read_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
-    path = Path(path)
-    reader = _Reader(path.read_bytes(), str(path))
-    magic = reader.take(4, "magic")
-    if magic != CHECKPOINT_MAGIC:
-        raise FormatError(f"{path}: bad magic {bytes(magic)!r} at offset 0")
-    (version,) = struct.unpack("<H", reader.take(2, "version"))
-    if version != FORMAT_VERSION:
-        raise FormatError(f"{path}: unsupported format version {version} at offset 4")
+    reader = _Reader(path, CHECKPOINT_MAGIC)
     (echo_len,) = struct.unpack("<I", reader.take(4, "config length"))
     try:
         config = json.loads(bytes(reader.take(echo_len, "config echo")).decode("utf-8"))
@@ -144,8 +152,8 @@ def read_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
             name = bytes(reader.take(name_len, "tensor name")).decode("utf-8")
         except UnicodeDecodeError:
             raise FormatError(f"{path}: tensor name at offset {at} is not UTF-8") from None
+        if name in state:
+            raise FormatError(f"{path}: tensor name {name!r} at offset {at} repeats")
         state[name] = reader.unpack_array()
-    if reader.offset != len(reader.data):
-        raise FormatError(f"{path}: {len(reader.data) - reader.offset} trailing bytes "
-                          f"at offset {reader.offset}")
+    reader.finish()
     return config, state

@@ -89,7 +89,10 @@ def evaluate(model, dataset, clip_len: int, max_rank: int = 20) -> RankingMetric
     every embedding, is the same as embedding the stacked split at once.
     Only the query x gallery distances are computed.
     """
-    from .model import EMBED_BATCH, pairwise_distances     # avoid import cycle
+    # imported per call, not at the top, so that a patch of
+    # ``cstnet.model.pairwise_distances`` (a test's counter, a profiler's
+    # timer) takes effect here; there is no import cycle
+    from .model import EMBED_BATCH, pairwise_distances
 
     queries = dataset.of_split("query")
     gallery = dataset.of_split("gallery")

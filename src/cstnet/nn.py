@@ -64,21 +64,23 @@ class Module:
         return state
 
     def load_state(self, state: dict[str, np.ndarray]):
-        own = dict(self.named_parameters())
-        bufs = dict(self.named_buffers())
-        for name, arr in state.items():
-            if name in own:
-                if own[name].data.shape != arr.shape:
-                    raise ConfigError(f"state mismatch for '{name}': model has "
-                                      f"{own[name].data.shape}, state has {arr.shape}")
-                own[name].data = arr.astype(own[name].data.dtype, copy=True)
-            elif name in bufs:
-                bufs[name][...] = arr
-            else:
-                raise ConfigError(f"state contains unknown entry '{name}'")
-        missing = (set(own) | set(bufs)) - set(state)
+        """Copy ``state`` into the parameters and buffers in place; every entry
+        must be present, of the model's shape and finite."""
+        own = self.named_state()
+        unknown = sorted(set(state) - set(own))
+        if unknown:
+            raise ConfigError(f"state contains unknown entries: {unknown}")
+        missing = sorted(set(own) - set(state))
         if missing:
-            raise ConfigError(f"state is missing entries: {sorted(missing)}")
+            raise ConfigError(f"state is missing entries: {missing}")
+        for name, target in own.items():
+            arr = state[name]
+            if arr.shape != target.shape:
+                raise ConfigError(f"state mismatch for '{name}': model has "
+                                  f"{target.shape}, state has {arr.shape}")
+            if not np.isfinite(arr).all():
+                raise ConfigError(f"state entry '{name}' holds non-finite values")
+            target[...] = arr
 
     def train(self, mode: bool = True):
         object.__setattr__(self, "training", mode)

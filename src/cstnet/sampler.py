@@ -18,6 +18,9 @@ import numpy as np
 from .data import VideoDataset
 from .errors import ContractError
 
+ERASE_AREA = (0.02, 0.33)       # erased share of the frame area, U[lo, hi]
+ERASE_ASPECT = (0.3, 3.33)      # erased rectangle's height / width, U[lo, hi]
+
 
 @dataclass(frozen=True)
 class ClipSource:
@@ -106,9 +109,7 @@ def pk_sample(dataset: VideoDataset, p: int, k: int, t: int,
 
 
 def augment_clips(clips: np.ndarray, rng: np.random.Generator, fill_mean: np.ndarray,
-                  flip_p: float = 0.5, erase_p: float = 0.3,
-                  erase_area: tuple = (0.02, 0.33),
-                  erase_aspect: tuple = (0.3, 3.33)) -> np.ndarray:
+                  flip_p: float = 0.5, erase_p: float = 0.3) -> np.ndarray:
     """Augmented copy of (B, T, 3, H, W) clips; labels and counts untouched."""
     out = clips.copy()
     b, t, _, h, w = out.shape
@@ -120,8 +121,8 @@ def augment_clips(clips: np.ndarray, rng: np.random.Generator, fill_mean: np.nda
             if rng.random() >= erase_p:
                 continue
             for _ in range(10):      # retry until the rectangle fits
-                area = rng.uniform(*erase_area) * h * w
-                aspect = rng.uniform(*erase_aspect)
+                area = rng.uniform(*ERASE_AREA) * h * w
+                aspect = rng.uniform(*ERASE_ASPECT)
                 eh = int(round(np.sqrt(area * aspect)))
                 ew = int(round(np.sqrt(area / aspect)))
                 if 0 < eh <= h and 0 < ew <= w:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cstnet.checkpoint import load_model, save_model
-from cstnet.errors import ConfigError, FormatError
+from cstnet.errors import FormatError
 from cstnet.io import read_checkpoint, write_checkpoint
 from cstnet.model import Cstnet, CstnetConfig
 
@@ -81,8 +81,9 @@ def test_state_shape_mismatch_rejected(tmp_path):
     state = model.named_state()
     state["embed.weight"] = np.zeros((2, 2), dtype=np.float32)
     write_checkpoint(tmp_path / "m.ckpt", model.cfg.to_dict(), state)
-    with pytest.raises(ConfigError, match="embed.weight"):
+    with pytest.raises(FormatError, match="embed.weight") as info:
         load_model(tmp_path / "m.ckpt")
+    assert str(info.value).startswith(f"{tmp_path / 'm.ckpt'}: ")
 
 
 def test_missing_entry_rejected(tmp_path):
@@ -90,8 +91,9 @@ def test_missing_entry_rejected(tmp_path):
     state = model.named_state()
     state.pop("classify.bias")
     write_checkpoint(tmp_path / "m.ckpt", model.cfg.to_dict(), state)
-    with pytest.raises(ConfigError, match="missing"):
+    with pytest.raises(FormatError, match="missing") as info:
         load_model(tmp_path / "m.ckpt")
+    assert str(info.value).startswith(f"{tmp_path / 'm.ckpt'}: ")
 
 
 def test_config_echo_must_describe_model(tmp_path):
@@ -106,13 +108,14 @@ def test_config_echo_must_be_an_object(tmp_path):
         load_model(tmp_path / "m.ckpt")
 
 
-def write_raw_checkpoint(path, name: bytes, extents: tuple, values: bytes = b""):
-    """A one-tensor float32 checkpoint with an empty config echo, byte by byte."""
+def write_raw_checkpoint(path, name: bytes, extents: tuple, values: bytes = b"", copies=1):
+    """A float32 checkpoint with an empty config echo and ``copies`` records of
+    one tensor, byte by byte."""
     echo = b"{}"
     record = (struct.pack("<H", len(name)) + name
               + struct.pack(f"<BB{len(extents)}Q", 1, len(extents), *extents) + values)
     path.write_bytes(b"CSTC" + struct.pack("<HI", 1, len(echo)) + echo
-                     + struct.pack("<I", 1) + record)
+                     + struct.pack("<I", copies) + copies * record)
 
 
 def test_extents_whose_product_overflows_are_truncation(tmp_path):
@@ -132,3 +135,10 @@ def test_tensor_name_must_be_utf8(tmp_path):
     write_raw_checkpoint(tmp_path / "m.ckpt", b"\xffw", (1,), struct.pack("<f", 1.0))
     with pytest.raises(FormatError, match="not UTF-8"):
         read_checkpoint(tmp_path / "m.ckpt")
+
+
+def test_repeated_tensor_name_rejected(tmp_path):
+    write_raw_checkpoint(tmp_path / "m.ckpt", b"w", (1,), struct.pack("<f", 2.0), copies=2)
+    with pytest.raises(FormatError, match="tensor name 'w' at offset 35 repeats"):
+        read_checkpoint(tmp_path / "m.ckpt")
+

@@ -339,6 +339,81 @@ class TestVerifyCommand:
         assert "unknown key 'out' on line 1" in capsys.readouterr().err
 
 
+@pytest.fixture(scope="module")
+def init_checkpoint(tmp_path_factory, dataset_dir):
+    out = tmp_path_factory.mktemp("init")
+    assert main(train_args(dataset_dir, out, epochs=0)) == 0
+    return out / "checkpoint.ckpt"
+
+
+def edited_checkpoint(edit):
+    """A case: ``eval`` of a copy of the checkpoint that ``edit(config, state)`` changed."""
+    def case(tmp, checkpoint, data):
+        config, state = read_checkpoint(checkpoint)
+        edit(config, state)
+        bad = tmp / "bad.ckpt"
+        write_checkpoint(bad, config, state)
+        return ["eval", "--checkpoint", str(bad), "--data", str(data)], bad
+    return case
+
+
+def replaced(suffix, value):
+    """A case: the first state entry whose name ends in ``suffix`` becomes ``value``."""
+    def edit(config, state):
+        state[next(name for name in sorted(state) if name.endswith(suffix))] = value
+    return edited_checkpoint(edit)
+
+
+def non_utf8_config(tmp, checkpoint, data):
+    cfg = tmp / "bad.cfg"
+    cfg.write_bytes(b"seed = 1\n# caf\xe9\n")
+    return ["synth", "--config", str(cfg)], cfg
+
+
+def non_utf8_index(tmp, checkpoint, data):
+    copy = tmp / "data"
+    shutil.copytree(data, copy)
+    with open(copy / "index.txt", "ab") as fh:
+        fh.write(b"\xff\n")
+    return train_args(copy, tmp / "out", epochs=0), copy / "index.txt"
+
+
+MALFORMED = {
+    "buffer-of-shape-1": replaced("running_mean", np.zeros(1, np.float32)),
+    "buffer-of-shape-9": replaced("running_mean", np.zeros(9, np.float32)),
+    "embed-weight-of-shape-2x2": replaced("embed.weight", np.zeros((2, 2), np.float32)),
+    "nan-embed-weight": edited_checkpoint(lambda config, state: state["embed.weight"].fill(np.nan)),
+    "csl-pool-of-one-position": edited_checkpoint(lambda config, state: config.update(
+        csl_pool_h=1, csl_pool_w=1)),
+    "config-is-a-directory": lambda tmp, checkpoint, data: (["synth", "--config", str(tmp)], tmp),
+    "config-not-utf8": non_utf8_config,
+    "checkpoint-is-a-directory": lambda tmp, checkpoint, data: (
+        ["eval", "--checkpoint", str(tmp), "--data", str(data)], tmp),
+    "index-not-utf8": non_utf8_index,
+}
+
+
+class TestMalformedInputs:
+    """A malformed checkpoint, dataset or config file exits 1 with a message
+    that names the file, never with a traceback."""
+
+    @pytest.mark.parametrize("case", MALFORMED.values(), ids=MALFORMED.keys())
+    def test_exits_one_naming_the_file(self, tmp_path, init_checkpoint, dataset_dir, capsys,
+                                       case):
+        argv, named = case(tmp_path, init_checkpoint, dataset_dir)
+        capsys.readouterr()
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {named}: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("flag", ["--config", "--checkpoint"])
+    def test_missing_file_exits_one_naming_it(self, tmp_path, dataset_dir, capsys, flag):
+        missing = tmp_path / "missing"
+        assert main(["eval", flag, str(missing), "--data", str(dataset_dir),
+                     "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {missing}: cannot read")
+
+
 def field_names(*classes) -> set:
     return {f.name for cls in classes for f in fields(cls)}
 

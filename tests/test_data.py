@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from cstnet.data import (SequenceRecord, SynthSpec, VideoDataset, dataset_census,
                          generate_synthetic, load_dataset, save_dataset,
                          train_pixel_mean)
-from cstnet.errors import ContractError, FormatError
+from cstnet.errors import ConfigError, ContractError, FormatError
 from cstnet.io import read_tensor, write_tensor
 
 
@@ -61,8 +61,8 @@ class TestGeneration:
         assert all(s.split == "train" for s in ds.sequences)
 
     def test_zero_identities_rejected(self):
-        with pytest.raises(ContractError):
-            generate_synthetic(SynthSpec(num_identities=0))
+        with pytest.raises(ConfigError, match="num_identities must be >= 1"):
+            SynthSpec(num_identities=0)
 
     def test_illumination_is_per_frame_affine(self):
         base = SynthSpec(num_identities=2, cams=2, seqs_per_cam=1, seed=9)
@@ -189,6 +189,13 @@ class TestDatasetFormat:
         save_dataset(ds, tmp_path / "d")
         (tmp_path / "d" / "seq00000.cstt").unlink()
         with pytest.raises(FormatError, match="seq00000"):
+            load_dataset(tmp_path / "d")
+
+    def test_non_finite_frames_rejected(self, tmp_path):
+        ds = generate_synthetic(SynthSpec(num_identities=2, cams=2, seqs_per_cam=1, seed=0))
+        ds.sequences[1].frames[0, 0, 0, 0] = np.inf
+        save_dataset(ds, tmp_path / "d")
+        with pytest.raises(FormatError, match="seq00001.cstt: frames hold non-finite values"):
             load_dataset(tmp_path / "d")
 
     def test_malformed_index_line(self, tmp_path):

@@ -8,7 +8,7 @@ from cstnet.errors import ConfigError, ContractError, DimensionError
 from cstnet.gradcheck import max_gradcheck_error
 from cstnet.model import Cstnet, CstnetConfig, ResidualStage, pairwise_distances
 from cstnet.sti import SpatialTemporalInteraction
-from cstnet.tensor import Tensor, constant, mul, no_grad, tsum
+from cstnet.tensor import Tensor, no_grad
 
 
 def micro_config(**overrides):
@@ -44,9 +44,7 @@ class TestResidualStage:
     def test_stage_gradient_check(self, rng):
         stage = ResidualStage(3, 4, stride=2, rng=rng, dtype=np.float64)
         x = Tensor(rng.standard_normal((2, 3, 6, 4)), requires_grad=True)
-        proj = rng.standard_normal((2, 4, 3, 2))
-        err = max_gradcheck_error(lambda: tsum(mul(stage(x), constant(proj))),
-                                  [x] + stage.parameters(), coords_per_leaf=8,
+        err = max_gradcheck_error(lambda: stage(x), [x] + stage.parameters(), coords_per_leaf=8,
                                   rng=np.random.default_rng(0))
         assert err <= 1e-4
 

@@ -1,5 +1,6 @@
 """Smoke runs of ``scripts/``: each script runs to the end in a subprocess and
-prints or writes what it promises."""
+prints or writes what it promises.  The command line's exit code is checked
+across the process boundary too."""
 
 import json
 import os
@@ -11,11 +12,15 @@ ROOT = Path(__file__).resolve().parents[1]
 THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def run_script(name: str, *args: str) -> str:
+def run(*args: str) -> subprocess.CompletedProcess:
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src"),
            **{variable: "1" for variable in THREAD_VARIABLES}}
-    done = subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args], env=env,
-                          capture_output=True, text=True, timeout=300)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          timeout=300)
+
+
+def run_script(name: str, *args: str) -> str:
+    done = run(str(ROOT / "scripts" / name), *args)
     assert done.returncode == 0, done.stderr
     return done.stdout
 
@@ -52,3 +57,11 @@ def test_bench_ops_records_every_op_kind(tmp_path):
     assert "env" in result
     for op in ("conv2d", "batch_norm", "adaptive_avg_pool2d"):
         assert result["ops"][op]["calls"] > 0, op
+
+
+def test_cli_process_exits_one_without_a_traceback(tmp_path):
+    done = run("-m", "cstnet.cli", "eval", "--checkpoint", str(tmp_path),
+               "--data", str(tmp_path), "--out", str(tmp_path / "out"))
+    assert done.returncode == 1
+    assert done.stderr.startswith(f"error: {tmp_path}: ")
+    assert "Traceback" not in done.stderr
