@@ -23,8 +23,8 @@ lines do, and the 1-minute load average at start and end.
 
 import os
 
-THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
-                    "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
+from cstnet.blas import THREAD_VARIABLES   # loads no numpy
+
 for _name in THREAD_VARIABLES:            # before numpy loads its BLAS
     os.environ[_name] = "1"
 

@@ -1,12 +1,22 @@
 """Video person re-identification with co-saliency attention and
-spatial-temporal relation modules, on a self-contained autodiff engine."""
+spatial-temporal relation modules, on a self-contained autodiff engine.
 
-from .csl import CoSaliencyAttention, CoSaliencyLearning
-from .data import SynthSpec, VideoDataset, generate_synthetic, load_dataset, save_dataset
-from .metrics import RankingMetrics, evaluate
-from .model import Cstnet, CstnetConfig, pairwise_distances
-from .sti import RelationFeatures, SpatialTemporalInteraction
-from .tensor import Tensor, no_grad
+The names below load their module on first use, so that importing a module
+that needs no numpy (``cstnet.blas``) does not load numpy's BLAS.
+"""
+
+import importlib
+
+# public name -> the module that defines it
+_EXPORTS = {
+    "CoSaliencyAttention": "csl", "CoSaliencyLearning": "csl",
+    "SynthSpec": "data", "VideoDataset": "data", "generate_synthetic": "data",
+    "load_dataset": "data", "save_dataset": "data",
+    "RankingMetrics": "metrics", "evaluate": "metrics",
+    "Cstnet": "model", "CstnetConfig": "model", "pairwise_distances": "model",
+    "RelationFeatures": "sti", "SpatialTemporalInteraction": "sti",
+    "Tensor": "tensor", "no_grad": "tensor",
+}
 
 __all__ = [
     "CoSaliencyAttention", "CoSaliencyLearning",
@@ -16,3 +26,9 @@ __all__ = [
     "RelationFeatures", "SpatialTemporalInteraction",
     "Tensor", "no_grad",
 ]
+
+
+def __getattr__(name):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)

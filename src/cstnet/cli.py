@@ -12,7 +12,8 @@ and of ``CstnetConfig``, ``TrainConfig`` and ``AdamConfig``, plus the few
 keys that belong to the command alone; each key's default and type are the
 field's default and its type.  Tuple keys take comma-separated items.
 
-Exit codes: 0 success, 1 contract/config error, 2 verification failure.
+Exit codes: 0 success, 1 contract/config error or an output that cannot be
+written, 2 verification failure.
 The output directory defaults to ``--out`` but can be forced with the
 ``CSTNET_OUT`` environment variable.
 """
@@ -190,9 +191,9 @@ def cmd_eval(args) -> int:
                                                        model.cfg.frame_w):
         raise ConfigError(f"checkpoint expects {model.cfg.frame_h}x{model.cfg.frame_w} frames "
                           f"but dataset has {dataset.frame_shape()[1]}x{dataset.frame_shape()[2]}")
-    metrics = evaluate(model, dataset, clip_len=model.cfg.clip_len, max_rank=resolved["max_rank"])
     out = _out_dir(resolved)
-    write_config_echo(out, resolved)
+    write_config_echo(out, resolved)        # an unwritable output fails before the evaluation
+    metrics = evaluate(model, dataset, clip_len=model.cfg.clip_len, max_rank=resolved["max_rank"])
     with open(out / "metrics.txt", "w") as fh:
         for name, k, value in metrics.as_records():
             fh.write(f"{name} {k} {value:.10f}\n")
@@ -270,6 +271,10 @@ def main(argv=None) -> int:
         return args.fn(args)
     except (ConfigError, ContractError, DimensionError, FormatError, NumericError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:          # reads fail as FormatError, so this is an output
+        where = f"{exc.filename}: " if exc.filename else ""
+        print(f"error: {where}cannot write ({exc.strerror or exc})", file=sys.stderr)
         return 1
 
 

@@ -157,9 +157,13 @@ class CoSaliencyLearning(Module):
                                  f"got {h}x{w}")
         sd, cd = self.reduce_dims(f)
         nd_s = _standardized_spatial(sd)            # (B, T, HW, C_L)
+        del sd
         nd_c = _standardized_channel(cd)            # (B, T, C, H_L*W_L)
+        del cd
         z_s = reshape(_fused_logits(nd_s, self.summarize_spatial), (b, t, 1, h, w))
+        del nd_s
         z_c = reshape(_fused_logits(nd_c, self.summarize_channel), (b, t, c, 1, 1))
+        del nd_c
         return CoSaliencyAttention(z_s=z_s, z_c=z_c, z=sigmoid(mul(z_s, z_c)))
 
     def forward(self, f: Tensor) -> Tensor:

@@ -27,7 +27,8 @@ from .nn import BatchNorm2d, Conv2d, Linear, Module
 from .sti import SpatialTemporalInteraction
 from .tensor import Tensor, add, adaptive_avg_pool2d, constant, no_grad, relu, reshape, tmean
 
-# clips per eval-mode forward, in embed_clips and in metrics.evaluate
+# clips per eval-mode forward, in embed_clips and in metrics.evaluate, which
+# holds one such batch and its forward per worker thread
 EMBED_BATCH = 32
 
 
@@ -203,13 +204,15 @@ class Cstnet(Module):
         for stage in range(1, 6):
             x = self._stage(stage)(x)
             if stage in cfg.insertion_points and (cfg.with_csl or cfg.with_sti):
+                # one name for the stream, so a module's input is freed once
+                # the next one has consumed it (eval keeps no graph)
                 sc, sh, sw = dims[stage - 1]
-                clip_view = reshape(x, (b, t, sc, sh, sw))
+                x = reshape(x, (b, t, sc, sh, sw))
                 if cfg.with_csl:
-                    clip_view = getattr(self, f"csl{stage}")(clip_view)
+                    x = getattr(self, f"csl{stage}")(x)
                 if cfg.with_sti:
-                    clip_view = getattr(self, f"sti{stage}")(clip_view)
-                x = reshape(clip_view, (b * t, sc, sh, sw))
+                    x = getattr(self, f"sti{stage}")(x)
+                x = reshape(x, (b * t, sc, sh, sw))
         pooled = reshape(adaptive_avg_pool2d(x, 1, 1), (b, t, cfg.stage_channels[4]))
         clip_feat = tmean(pooled, axis=1)             # (B, C5)
         features = self.embed(clip_feat)              # (B, E)

@@ -71,6 +71,8 @@ class SpatialTemporalInteraction(Module):
 
     def spatial_relation(self, f: Tensor) -> tuple[Tensor, Tensor]:
         """Per-frame non-local attention over pooled key positions."""
+        # each intermediate is dropped after its last reader, so that without a
+        # graph (eval) its array is freed before the next one is allocated
         self._check(f)
         b, t, c, h, w = f.shape
         c1, h1, w1 = self.c_1, self.h_1, self.w_1
@@ -78,11 +80,17 @@ class SpatialTemporalInteraction(Module):
         qk = self.qk_spatial(frames)                              # (BT, C1, H, W)
         q = reshape(qk, (b * t, c1, h * w))
         k = reshape(adaptive_avg_pool2d(qk, h1, w1), (b * t, c1, h1 * w1))
+        del qk
         v = reshape(adaptive_avg_pool2d(self.v_spatial(frames), h1, w1), (b * t, c1, h1 * w1))
+        del frames
         scores = matmul(permute(k, (0, 2, 1)), q)                 # (BT, H1W1, HW)
+        del q, k
         m_s = softmax(scores, axis=1)                             # keys normalized
+        del scores
         att = reshape(matmul(v, m_s), (b * t, c1, h, w))
+        del v
         f_s = self.out_spatial(att)
+        del att
         return reshape(f_s, (b, t, c, h, w)), reshape(m_s, (b, t, h1 * w1, h * w))
 
     def temporal_relation(self, f: Tensor) -> tuple[Tensor, Tensor]:
@@ -93,10 +101,15 @@ class SpatialTemporalInteraction(Module):
         x = reshape(permute(f, (0, 3, 4, 1, 2)), (b * h * w, t, c))
         qk = self.qk_temporal(x)                                  # (BHW, T, C1)
         v = self.v_temporal(x)
+        del x
         scores = matmul(qk, permute(qk, (0, 2, 1)))               # (BHW, Tkey, Tquery)
+        del qk
         m_t = softmax(scores, axis=1)                             # key frames normalized
+        del scores
         att = permute(matmul(permute(v, (0, 2, 1)), m_t), (0, 2, 1))   # (BHW, T, C1)
+        del v
         f_t = self.out_temporal(att)
+        del att
         f_t = permute(reshape(f_t, (b, h, w, t, c)), (0, 3, 4, 1, 2))
         return f_t, reshape(m_t, (b, h * w, t, t))
 
@@ -117,6 +130,10 @@ class SpatialTemporalInteraction(Module):
         return RelationFeatures(f_s=f_s, f_t=f_t, m_s=m_s, m_t=m_t)
 
     def forward(self, f: Tensor) -> Tensor:
-        """Residual insertion: input plus the fused relation features."""
-        rel = self.relations(f)
-        return add(f, self.fuse_relations(rel.f_s, rel.f_t))
+        """Residual insertion: input plus the fused relation features.
+
+        Unlike ``relations`` it keeps no attention map past its block.
+        """
+        f_s = self.spatial_relation(f)[0]
+        f_t = self.temporal_relation(f)[0]
+        return add(f, self.fuse_relations(f_s, f_t))

@@ -54,7 +54,11 @@ _grad_enabled = True
 
 
 class no_grad:
-    """Context manager that disables graph recording (e.g. for evaluation)."""
+    """Context manager that disables graph recording (e.g. for evaluation).
+
+    The flag is process-wide, not per thread: forwards that other threads run
+    inside the block record no graph either (``metrics.evaluate`` relies on it).
+    """
 
     def __enter__(self):
         global _grad_enabled
@@ -322,10 +326,15 @@ def relu(a: Tensor) -> Tensor:
 
 
 def sigmoid(a: Tensor) -> Tensor:
-    # 1 / (1 + exp(-x)) for x >= 0 and exp(x) / (1 + exp(x)) below: exp never overflows
+    # 1 / (1 + exp(-x)) for x >= 0 and exp(x) / (1 + exp(x)) below: exp never
+    # overflows.  e = exp(-|x|) is formed in one buffer, which then becomes
+    # 1 + e in place, so the op holds one temporary beside its output; the
+    # ufuncs write to ``out=`` arrays, because on a 0-d input they return scalars
     x = a.data
-    e = np.exp(-np.abs(x))
-    out = np.where(x >= 0, 1, e) / (1 + e)
+    e = np.empty_like(x)
+    np.exp(np.negative(np.abs(x, out=e), out=e), out=e)
+    out = np.where(x >= 0, 1, e)
+    np.divide(out, np.add(e, 1, out=e), out=out)
 
     def bw(g, saved):
         y = saved[0]

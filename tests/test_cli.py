@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cstnet import cli
 from cstnet.cli import DEFAULTS, config_from, load_config_file, main, resolve_config
 from cstnet.data import SynthSpec
 from cstnet.experiments import variant_flags
@@ -405,6 +406,24 @@ class TestMalformedInputs:
         assert main([*argv, "--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {named}: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["synth", "train", "eval"])
+    def test_output_that_is_a_file_exits_one_naming_it(self, tmp_path, init_checkpoint,
+                                                        dataset_dir, capsys, monkeypatch,
+                                                        command):
+        def never(*args, **kwargs):
+            raise AssertionError("evaluated before the output directory was made")
+
+        monkeypatch.setattr(cli, "evaluate", never)
+        out = tmp_path / "taken"
+        out.write_text("")
+        argv = {"synth": ["synth", "--num-identities", "2", "--out", str(out)],
+                "train": train_args(dataset_dir, out, epochs=0),
+                "eval": ["eval", "--checkpoint", str(init_checkpoint), "--data", str(dataset_dir),
+                         "--out", str(out)]}[command]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {out}: cannot write") and "Traceback" not in err
 
     @pytest.mark.parametrize("flag", ["--config", "--checkpoint"])
     def test_missing_file_exits_one_naming_it(self, tmp_path, dataset_dir, capsys, flag):

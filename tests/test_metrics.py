@@ -3,12 +3,20 @@
 The random instances against the brute-force ``rank_loops`` are verify's
 ``oracle/cmc_exact`` and ``oracle/map``."""
 
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cstnet import blas
+from cstnet import metrics as metrics_module
 from cstnet import model as model_module
+from cstnet import tensor as tensor_module
+from cstnet.blas import THREAD_VARIABLES
 from cstnet.data import SequenceRecord, VideoDataset
 from cstnet.errors import ContractError
 from cstnet.metrics import evaluate, evenly_spaced_indices, ranking_metrics
@@ -109,6 +117,13 @@ def tiny_eval_dataset(num_ids=4, frames_per_seq=6, frame_hw=(8, 4)):
     return VideoDataset(seqs)
 
 
+def small_model(ds):
+    return Cstnet(CstnetConfig(num_identities=ds.num_identities, clip_len=2, frame_h=16,
+                               frame_w=8, stage_channels=(4, 8, 8, 8, 8), embedding_dim=8,
+                               csl_channels=4, csl_pool_h=2, csl_pool_w=2,
+                               sti_channels=4, sti_pool_h=2, sti_pool_w=1, seed=1))
+
+
 class TestEvaluate:
     def test_evenly_spaced_indices(self):
         assert np.array_equal(evenly_spaced_indices(10, 4), [0, 3, 6, 9])
@@ -182,27 +197,131 @@ class TestEvaluate:
         # a gallery of more than one batch: same embeddings and metrics as
         # embed_clips on the whole stacked split
         ds = tiny_eval_dataset(num_ids=EMBED_BATCH + 5, frames_per_seq=3, frame_hw=(16, 8))
-        model = Cstnet(CstnetConfig(num_identities=ds.num_identities, clip_len=2, frame_h=16,
-                                    frame_w=8, stage_channels=(4, 8, 8, 8, 8), embedding_dim=8,
-                                    csl_channels=4, csl_pool_h=2, csl_pool_w=2,
-                                    sti_channels=4, sti_pool_h=2, sti_pool_w=1, seed=1))
-        embedded = []
+        model = small_model(ds)
+        queries, gallery = ds.of_split("query"), ds.of_split("gallery")
+        stacked = [np.stack([s.frames[evenly_spaced_indices(len(s.frames), 2)] for s in seqs])
+                   for seqs in (queries, gallery)]
+        batches = [split[start:start + EMBED_BATCH] for split in stacked
+                   for start in range(0, len(split), EMBED_BATCH)]
+        embedded = [None] * len(batches)      # by batch position: workers finish in any order
         embed_clips = model.embed_clips
 
         def recording(clips, batch_size=EMBED_BATCH):
-            embedded.append(embed_clips(clips, batch_size))
-            return embedded[-1]
+            position = next(i for i, batch in enumerate(batches) if np.array_equal(batch, clips))
+            embedded[position] = embed_clips(clips, batch_size)
+            return embedded[position]
 
         model.embed_clips = recording
         got = evaluate(model, ds, clip_len=2, max_rank=5)
 
-        queries, gallery = ds.of_split("query"), ds.of_split("gallery")
-        whole = np.concatenate([
-            embed_clips(np.stack([s.frames[evenly_spaced_indices(len(s.frames), 2)] for s in seqs]))
-            for seqs in (queries, gallery)])
+        whole = np.concatenate([embed_clips(split) for split in stacked])
         assert np.array_equal(np.concatenate(embedded), whole)
         ref = ranking_metrics(pairwise_distances(whole[:len(queries)], whole[len(queries):]),
                               [s.identity for s in queries], [s.identity for s in gallery],
                               [s.camera for s in queries], [s.camera for s in gallery], 5)
         assert np.array_equal(got.cmc, ref.cmc) and got.map == ref.map
         assert got.per_query == ref.per_query and got.excluded_queries == ref.excluded_queries
+
+
+class TestEvaluateWorkers:
+    """``evaluate`` embeds its batches on ``blas.eval_workers()`` threads."""
+
+    @pytest.mark.parametrize("env, workers", [
+        ({}, 1),                                                   # nothing pinned
+        ({name: "1" for name in THREAD_VARIABLES[1:]}, 1),         # one left unset
+        ({**{name: "1" for name in THREAD_VARIABLES}, "OPENBLAS_NUM_THREADS": "2"}, 1),
+        ({name: "1" for name in THREAD_VARIABLES}, 3),             # every one pinned
+    ])
+    def test_workers_only_when_every_thread_variable_pins_one_thread(self, monkeypatch,
+                                                                    env, workers):
+        for name in THREAD_VARIABLES:
+            monkeypatch.delenv(name, raising=False)
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        monkeypatch.setattr(blas.os, "sched_getaffinity", lambda pid: {0, 1, 5}, raising=False)
+        assert blas.eval_workers() == workers
+
+    def test_more_workers_give_the_bytes_of_one(self, monkeypatch):
+        # more workers than cores, with threads switching as often as they can
+        ds = tiny_eval_dataset(num_ids=2 * EMBED_BATCH + 5, frames_per_seq=3, frame_hw=(16, 8))
+        results = {}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for workers in (1, 2, 8):
+                results[workers] = self._evaluate_recording(monkeypatch, ds, workers)
+        finally:
+            sys.setswitchinterval(interval)
+        (one, embedded_one) = results[1]
+        assert len(embedded_one) == 6
+        for workers in (2, 8):
+            many, embedded_many = results[workers]
+            assert embedded_many == embedded_one
+            assert many.cmc.tobytes() == one.cmc.tobytes() and many.map == one.map
+            assert many.per_query == one.per_query
+
+    @staticmethod
+    def _evaluate_recording(monkeypatch, ds, workers):
+        """evaluate's metrics, and each batch's (clip tags, embedding) bytes, sorted."""
+        monkeypatch.setattr(blas, "eval_workers", lambda: workers)
+        model = small_model(ds)
+        embedded = []
+        embed_clips = model.embed_clips
+
+        def recording(clips, batch_size=EMBED_BATCH):
+            out = embed_clips(clips, batch_size)
+            embedded.append((clips[:, 0, 0, 0, 0].tobytes(), out.tobytes()))
+            return out
+
+        model.embed_clips = recording
+        return evaluate(model, ds, clip_len=2, max_rank=5), sorted(embedded)
+
+    def test_at_most_workers_batches_stacked_or_in_flight(self, monkeypatch):
+        ds = tiny_eval_dataset(num_ids=2 * EMBED_BATCH + 3)
+        lock = threading.Lock()
+        counts = {"stacked": 0, "embedded": 0, "most": 0}
+
+        def counting(length, count):                  # called once per sequence stacked
+            with lock:
+                counts["stacked"] += 1
+                counts["most"] = max(counts["most"], counts["stacked"] - counts["embedded"])
+            return evenly_spaced_indices(length, count)
+
+        class SlowModel(StubModel):
+            def embed_clips(self, clips, batch_size=EMBED_BATCH):
+                time.sleep(0.05)
+                with lock:
+                    counts["embedded"] += len(clips)
+                return super().embed_clips(clips)
+
+        monkeypatch.setattr(blas, "eval_workers", lambda: 2)
+        monkeypatch.setattr(metrics_module, "evenly_spaced_indices", counting)
+        evaluate(SlowModel(), ds, clip_len=4, max_rank=3)
+        assert counts["embedded"] == len(ds.sequences)
+        # two full batches overlap, and a third is never stacked beside them
+        assert EMBED_BATCH < counts["most"] <= 2 * EMBED_BATCH
+
+    @pytest.mark.parametrize("fail", [False, True])
+    def test_modes_are_restored(self, monkeypatch, fail):
+        monkeypatch.setattr(blas, "eval_workers", lambda: 2)
+        ds = tiny_eval_dataset(num_ids=2 * EMBED_BATCH, frames_per_seq=3, frame_hw=(16, 8))
+        model = small_model(ds)
+        seen = []
+        forward = model.forward
+
+        def watched(clips):
+            seen.append((model.training, tensor_module._grad_enabled))
+            if fail and len(seen) == 3:
+                raise RuntimeError("forward failed")
+            return forward(clips)
+
+        model.forward = watched
+        model.train()
+        if fail:
+            with pytest.raises(RuntimeError, match="forward failed"):
+                evaluate(model, ds, clip_len=2, max_rank=5)
+        else:
+            evaluate(model, ds, clip_len=2, max_rank=5)
+        assert set(seen) == {(False, False)}      # every forward in eval mode, no graph
+        assert model.training and all(m.training for m in model.stage2._modules.values())
+        assert tensor_module._grad_enabled

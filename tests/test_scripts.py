@@ -8,8 +8,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+from cstnet.blas import THREAD_VARIABLES
+
 ROOT = Path(__file__).resolve().parents[1]
-THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def run(*args: str) -> subprocess.CompletedProcess:
@@ -57,6 +58,18 @@ def test_bench_ops_records_every_op_kind(tmp_path):
     assert "env" in result
     for op in ("conv2d", "batch_norm", "adaptive_avg_pool2d"):
         assert result["ops"][op]["calls"] > 0, op
+
+
+def test_thread_variables_load_no_numpy():
+    # scripts import the list before they pin the BLAS, which numpy loads
+    done = run("-c", "import sys; from cstnet.blas import THREAD_VARIABLES; "
+                     "print(len(THREAD_VARIABLES), 'numpy' in sys.modules)")
+    assert done.stdout.split() == ["6", "False"], done.stderr
+
+
+def test_every_package_name_loads_on_first_use():
+    import cstnet
+    assert all(getattr(cstnet, name).__name__ == name for name in cstnet.__all__)
 
 
 def test_cli_process_exits_one_without_a_traceback(tmp_path):

@@ -1,12 +1,14 @@
 """Spatial-temporal interaction: relation maps, fusion gates, residual safety."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from cstnet.errors import ConfigError, DimensionError
 from cstnet.gradcheck import max_gradcheck_error
 from cstnet.sti import SpatialTemporalInteraction
-from cstnet.tensor import Tensor, no_grad
+from cstnet.tensor import Tensor, add, no_grad
 from cstnet.verify import sti_relations_loops
 
 
@@ -142,6 +144,32 @@ class TestForward:
         with no_grad():
             out = block(Tensor(x))
         assert np.abs(out.data - x).max() <= 1e-12
+
+    def test_forward_bytes_equal_the_fused_relations(self, block, rng):
+        randomized(block, rng)
+        f = Tensor(rng.standard_normal((2, 3, 8, 4, 4)))
+        with no_grad():
+            rel = block.relations(f)
+            fused = add(f, block.fuse_relations(rel.f_s, rel.f_t))
+            assert block(f).data.tobytes() == fused.data.tobytes()
+
+    def test_eval_forward_transient_memory_is_bounded(self, rng):
+        # stage 2 of the default model at an eval batch of 32 clips: each
+        # intermediate is freed after its last reader (9.0 MB when the whole
+        # chain of intermediates and both attention maps stayed alive)
+        block = SpatialTemporalInteraction(16, 16, 4, 2, rng=rng)
+        for conv in (block.out_spatial, block.out_temporal):
+            conv.weight.data = 0.4 * rng.standard_normal(conv.weight.shape, dtype=np.float32)
+        f = Tensor(rng.standard_normal((32, 4, 16, 16, 8)).astype(np.float32))
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            with no_grad():
+                block(f)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6.5 * 2 ** 20
 
     def test_shape_preservation(self, block, rng):
         for shape in ((1, 2, 8, 4, 4), (2, 4, 8, 6, 5)):

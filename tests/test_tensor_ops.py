@@ -168,6 +168,22 @@ class TestPointwise:
         assert out[0] == out[1] == 0.5
         assert out[-3] == 1.0 and out[-2] == 0.0
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_sigmoid_bytes_equal_the_plain_formula(self, dtype, rng):
+        # the op forms exp(-|x|) and 1 + exp(-|x|) in one buffer; each value
+        # must be the one the plain expression gives, on 0-d arrays too
+        values = np.concatenate([[0.0, -0.0, np.inf, -np.inf, 1.0, -1.0, 90.0, -90.0],
+                                 rng.standard_normal(50) * 10]).astype(dtype)
+
+        def plain(x):
+            e = np.exp(-np.abs(x))
+            return np.asarray(np.where(x >= 0, 1, e) / (1 + e))
+
+        for x in [values, *(np.array(v) for v in values)]:
+            out = T.sigmoid(Tensor(x)).data
+            assert out.shape == x.shape and out.dtype == dtype
+            assert out.tobytes() == plain(x).tobytes()
+
     def test_sigmoid_gradcheck(self, rng):
         x = np.concatenate([rng.standard_normal(8) * 4, [-30.0, -0.0, 0.0, 30.0]])
         assert check_op(T.sigmoid, [x]) <= 1e-4
