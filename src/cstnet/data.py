@@ -203,6 +203,18 @@ def _paint_body(frame: np.ndarray, sig: _Signature, cy: int, cx: int):
     frame[:, ly0:ly1, lx0:lx1] = sig.leg_color[:, None, None]
 
 
+def _body_stamp(sig: _Signature, shape: tuple, cy: int, cx: int):
+    """The body painted once onto a NaN canvas, and the pixels it covers.
+
+    Every body pixel is an assignment (the torso texture is added to the torso
+    color just assigned), so ``np.copyto(frame, canvas, where=mask)`` equals
+    ``_paint_body(frame, sig, cy, cx)`` byte for byte, whatever ``frame`` holds.
+    """
+    canvas = np.full(shape, np.nan)
+    _paint_body(canvas, sig, cy, cx)
+    return canvas, ~np.isnan(canvas)
+
+
 def _camera_background(camera: int, h: int, w: int) -> np.ndarray:
     """Static per-camera backdrop: a mild oriented gradient."""
     ys = np.linspace(0.0, 1.0, h)[None, :, None]
@@ -224,14 +236,45 @@ def _smooth_texture(rng: np.random.Generator, h: int, w: int) -> np.ndarray:
     return tex - tex.mean(axis=(1, 2), keepdims=True)
 
 
+def _blend(frame: np.ndarray, py: int, px: int, tint: np.ndarray, alpha: float,
+           noise: np.ndarray):
+    """Lay a noisy distractor patch over the frame with opacity ``alpha``.
+
+    ``tint`` is ``alpha`` times a palette color, shaped (3, 1, 1).  An opaque
+    patch replaces what lies under it: a finite pixel times 0 is +-0, and
+    +-0 plus a positive tint is the tint exactly, so the patch is written as
+    ``tint + noise`` in one pass with the bytes of the three-step blend.
+    """
+    patch = frame[:, py:py + noise.shape[1], px:px + noise.shape[2]]
+    if alpha == 1.0:
+        np.add(tint, noise, out=patch)
+        return
+    patch *= 1.0 - alpha
+    patch += tint
+    patch += noise
+
+
 def generate_synthetic(spec: SynthSpec) -> VideoDataset:
-    """Deterministic synthetic dataset for the given spec (seeded)."""
+    """Deterministic synthetic dataset for the given spec (seeded).
+
+    Work that cannot change is done once: the camera backdrops and patch tints
+    per call, each identity's body stamp per position (see ``_body_stamp``),
+    and each sequence's doubled clutter texture, whose slices are its scrolls;
+    an opaque patch is written, not blended (see ``_blend``).  The generator's
+    draws, and so the bytes, are those of painting every frame from scratch.
+    """
     rng = np.random.default_rng(np.random.PCG64(spec.seed))
     h, w = spec.frame_h, spec.frame_w
     signatures = _make_signatures(rng, spec.num_identities)
+    backdrops = [_camera_background(camera, h, w) for camera in range(spec.cams)]
+    n_patches = int(round(spec.clutter_patches * spec.clutter))
+    alpha = min(1.0, spec.clutter)
+    tints = alpha * _PALETTE[:, :, None, None]
+    jv = max(1, JITTER_PX // 2)
     sequences: list[SequenceRecord] = []
     for identity in range(spec.num_identities):
         sig = signatures[identity]
+        stamps = {}                                 # (cy, cx) -> (canvas, mask)
         for camera in range(spec.cams):
             for seq_idx in range(spec.seqs_per_cam):
                 if spec.cams >= 2 and seq_idx == spec.seqs_per_cam - 1:
@@ -242,54 +285,46 @@ def generate_synthetic(spec: SynthSpec) -> VideoDataset:
                 base_cy = int(rng.integers(1, 3))
                 base_cx = w // 2 + int(rng.integers(-1, 2))
                 frames = np.empty((length, 3, h, w), dtype=np.float32)
-                backdrop = _camera_background(camera, h, w)
-                texture = _smooth_texture(rng, h, w) if spec.clutter > 0 else None
+                # the texture scrolled by (oy, ox) is a window of its 2x2 tiling
+                tiled = (np.tile(_smooth_texture(rng, h, w), (1, 2, 2))
+                         if spec.clutter > 0 else None)
                 for f in range(length):
-                    frame = backdrop.copy()
-                    if texture is not None:
+                    frame = backdrops[camera].copy()
+                    if tiled is not None:
                         oy = int(rng.integers(0, h))
                         ox = int(rng.integers(0, w))
-                        frame += spec.clutter * np.roll(texture, (oy, ox), axis=(1, 2))
+                        frame += spec.clutter * tiled[:, h - oy:2 * h - oy, w - ox:2 * w - ox]
+                    # body-colored distractors, mostly behind the person but
+                    # sometimes crossing in front
                     foreground = []
-                    n_patches = int(round(spec.clutter_patches * spec.clutter))
-                    if spec.clutter > 0 and n_patches:
-                        # body-colored distractors, mostly behind the person but
-                        # sometimes crossing in front
-                        alpha = min(1.0, spec.clutter)
-                        for _ in range(n_patches):
-                            ph = int(rng.integers(h // 6, h // 3 + 1))
-                            pw = int(rng.integers(w // 4, w // 2 + 1))
-                            py = int(rng.integers(0, h - ph + 1))
-                            px = int(rng.integers(0, w - pw + 1))
-                            color = _PALETTE[int(rng.integers(0, len(_PALETTE)))]
-                            noise = rng.normal(0.0, 0.3 * spec.clutter, (3, ph, pw))
-                            if rng.random() < 0.35:
-                                foreground.append((py, px, alpha, color, noise))
-                                continue
-                            patch = frame[:, py:py + ph, px:px + pw]
-                            patch *= 1.0 - alpha
-                            patch += alpha * color[:, None, None]
-                            patch += noise
-                    jv = max(1, JITTER_PX // 2)
+                    for _ in range(n_patches):
+                        ph = int(rng.integers(h // 6, h // 3 + 1))
+                        pw = int(rng.integers(w // 4, w // 2 + 1))
+                        py = int(rng.integers(0, h - ph + 1))
+                        px = int(rng.integers(0, w - pw + 1))
+                        tint = tints[int(rng.integers(0, len(_PALETTE)))]
+                        noise = rng.normal(0.0, 0.3 * spec.clutter, (3, ph, pw))
+                        if rng.random() < 0.35:
+                            foreground.append((py, px, tint, noise))
+                        else:
+                            _blend(frame, py, px, tint, alpha, noise)
                     cy = base_cy + int(rng.integers(-jv, jv + 1))
                     cx = base_cx + int(rng.integers(-JITTER_PX, JITTER_PX + 1))
-                    _paint_body(frame, sig, cy, cx)
-                    for py, px, alpha, color, noise in foreground:
-                        ph, pw = noise.shape[1:]
-                        patch = frame[:, py:py + ph, px:px + pw]
-                        patch *= 1.0 - alpha
-                        patch += alpha * color[:, None, None]
-                        patch += noise
-                    a = rng.uniform(*spec.illum_scale)
-                    b = rng.uniform(*spec.illum_shift)
-                    frame = a * frame + b
+                    if (cy, cx) not in stamps:
+                        stamps[cy, cx] = _body_stamp(sig, frame.shape, cy, cx)
+                    canvas, covered = stamps[cy, cx]
+                    np.copyto(frame, canvas, where=covered)
+                    for py, px, tint, noise in foreground:
+                        _blend(frame, py, px, tint, alpha, noise)
+                    frame *= rng.uniform(*spec.illum_scale)
+                    frame += rng.uniform(*spec.illum_shift)
                     if spec.occlusion_p > 0 and rng.random() < spec.occlusion_p:
                         oh = int(rng.integers(h // 6, h // 3 + 1))
                         ow = int(rng.integers(w // 4, (2 * w) // 3 + 1))
                         oy = int(rng.integers(0, h - oh + 1))
                         ox = int(rng.integers(0, w - ow + 1))
                         frame[:, oy:oy + oh, ox:ox + ow] = rng.uniform(0, 1, 3)[:, None, None]
-                    frames[f] = frame.astype(np.float32)
+                    frames[f] = frame
                 sequences.append(SequenceRecord(identity, camera, split, frames))
     ds = VideoDataset(sequences)
     ds.validate()

@@ -10,7 +10,6 @@ from both means and counted.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -89,20 +88,23 @@ def evaluate(model, dataset, clip_len: int, max_rank: int = 20) -> RankingMetric
     a time and embedded on a pool of ``blas.eval_workers()`` threads, at most
     that many batches stacked or in flight, and only the embeddings are kept,
     so memory holds one batch of clips (and one forward) per worker however
-    large the gallery is.  The batches are exactly those ``embed_clips`` cuts
-    from a whole split and their embeddings are joined in that order, so
-    every forward, and so every embedding, is the same as embedding the
-    stacked split at once, for any number of workers.  The model is put in
-    eval mode and graph recording is off for the whole call, so the forwards
-    share no state that changes; both are restored on return.  Only the
-    query x gallery distances are computed.
+    large the gallery is.  The next batch is stacked as soon as any batch in
+    flight ends, not only the oldest, so a worker that finishes a short batch
+    takes the next one at once.  The batches are exactly those
+    ``embed_clips`` cuts from a whole split and their embeddings are joined
+    in submission order, so every forward, and so every embedding, is the
+    same as embedding the stacked split at once, for any number of workers
+    and any order of completion.  The model is put in eval mode and graph
+    recording is off for the whole call, so the forwards share no state that
+    changes; both are restored on return.  Only the query x gallery
+    distances are computed.
     """
     # imported per call, not at the top, so that a patch of
     # ``cstnet.model.pairwise_distances`` (a test's counter, a profiler's
     # timer) takes effect here; there is no import cycle.  The thread pool's
     # modules add 0.6 MB of RSS to every process that imports this one, such
     # as training through ``experiments``, so they load on first use too
-    from concurrent.futures import ThreadPoolExecutor
+    from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 
     from .model import EMBED_BATCH, pairwise_distances
 
@@ -118,21 +120,24 @@ def evaluate(model, dataset, clip_len: int, max_rank: int = 20) -> RankingMetric
     batches = [(seqs, start) for seqs in (queries, gallery)
                for start in range(0, len(seqs), EMBED_BATCH)]
     workers = blas.eval_workers()
-    embedded, pending = [], deque()
+    futures, in_flight = [], set()
     was_training = getattr(model, "training", False)
     if was_training:
         model.eval()
     try:
         with no_grad(), ThreadPoolExecutor(workers) as pool:
             for seqs, start in batches:
-                if len(pending) == workers:         # the oldest ends before the next is stacked
-                    embedded.append(pending.popleft().result())
-                pending.append(pool.submit(model.embed_clips, stacked(seqs, start)))
-            embedded.extend(future.result() for future in pending)
+                if len(in_flight) == workers:       # any one ends before the next is stacked
+                    done, in_flight = wait(in_flight, return_when=FIRST_COMPLETED)
+                    for future in done:
+                        future.result()             # a failed batch stops the stacking
+                future = pool.submit(model.embed_clips, stacked(seqs, start))
+                futures.append(future)
+                in_flight.add(future)
+            embeddings = np.concatenate([future.result() for future in futures])
     finally:
         if was_training:
             model.train()
-    embeddings = np.concatenate(embedded)
 
     return ranking_metrics(
         pairwise_distances(embeddings[:len(queries)], embeddings[len(queries):]),

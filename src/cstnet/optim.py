@@ -62,15 +62,20 @@ class Adam:
             p.zero_grad()
 
     def step(self, lr: float | None = None):
-        """Apply one update from the accumulated gradients."""
-        self.step_count += 1
-        lr = self.cfg.lr if lr is None else lr
-        for name, p in self.params.items():
-            if p.grad is None:
-                continue
+        """Apply one update from the accumulated gradients.
+
+        Every gradient is checked before any parameter moves, so a
+        non-finite one raises with the parameters, moments and step count
+        all as they were.
+        """
+        updates = [(name, p) for name, p in self.params.items() if p.grad is not None]
+        for name, p in updates:
             if not np.isfinite(p.grad).all():
                 raise NumericError(f"non-finite gradient for parameter '{name}' "
-                                   f"at optimizer step {self.step_count}")
+                                   f"at optimizer step {self.step_count + 1}")
+        self.step_count += 1
+        lr = self.cfg.lr if lr is None else lr
+        for name, p in updates:
             adam_update(p.data, p.grad.astype(p.data.dtype, copy=False),
                         self._m[name], self._v[name], self.step_count, lr,
                         self.cfg.weight_decay)

@@ -1,5 +1,7 @@
 """Synthetic generation, difficulty calibration, and the on-disk format."""
 
+import dataclasses
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -7,11 +9,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cstnet.data import (SequenceRecord, SynthSpec, VideoDataset, dataset_census,
-                         generate_synthetic, load_dataset, save_dataset,
-                         train_pixel_mean)
+from cstnet.data import (_PALETTE, JITTER_PX, SequenceRecord, SynthSpec, VideoDataset, _blend,
+                         _body_stamp, _make_signatures, _paint_body, dataset_census,
+                         generate_synthetic, load_dataset, save_dataset, train_pixel_mean)
 from cstnet.errors import ConfigError, ContractError, FormatError
 from cstnet.io import read_tensor, write_tensor
+from cstnet.presets import ABLATION_DATA, LEARNABILITY_DATA
 
 
 def nearest_centroid_rank1(ds):
@@ -81,6 +84,99 @@ class TestGeneration:
                                              clutter=1.5, seed=0))
         assert nearest_centroid_rank1(clean) > 0.95
         assert nearest_centroid_rank1(heavy) < 0.6
+
+
+def dataset_digest(ds) -> str:
+    """SHA-256 over every sequence's (identity, camera, split, shape, frame bytes)."""
+    h = hashlib.sha256()
+    for s in ds.sequences:
+        h.update(f"{s.identity} {s.camera} {s.split} {s.frames.shape}\n".encode())
+        h.update(s.frames.tobytes())
+    return h.hexdigest()
+
+
+# Golden digests of generated datasets.  They pin the generator's output byte
+# for byte, so a speed-up of ``generate_synthetic`` must leave them alone.  They
+# also track numpy's ``Generator`` stream (PCG64 and its bounded-integer,
+# uniform and normal samplers): a numpy release that changes that stream
+# changes them, and every seeded experiment with them.
+GOLDEN_DIGESTS = [
+    (ABLATION_DATA, "24439871610713d766e582a8dd37ae69b8ec199bbc03dcb415f6085d95794665"),
+    (LEARNABILITY_DATA, "197618837feae2e15e278f625052726d1272e39d16e9738f45212016b98a97dd"),
+    (SynthSpec(), "dd89cf5e746eb0d714e4a47b4af2f266f14db705d9c0aef6228fcacb62506c75"),
+    (SynthSpec(num_identities=5, frame_h=16, frame_w=8, clutter=0.5, illum_scale=(0.8, 1.2),
+               illum_shift=(-0.1, 0.1), occlusion_p=0.3, seed=3),
+     "c96e1d39f36628ee141dfebd30657b0926ef24be474852bf4ac208479e3a341b"),
+    (SynthSpec(num_identities=6, cams=3, seqs_per_cam=2, frame_h=40, frame_w=24,
+               clutter=2.0, occlusion_p=0.5, seed=5),
+     "a580719dbc2d14402808af33f1f98e3e7fcc2769bfc5ac79ca8aa3b2983ce1ef"),
+    (dataclasses.replace(ABLATION_DATA, num_identities=48, cams=4, seqs_per_cam=1, seed=7),
+     "3cc5420b28e8871f2176e88ea77b68a6a3027c36cf6699590993c701dd87b6f4"),   # perfbench eval set
+]
+
+
+@pytest.mark.parametrize("spec, digest", GOLDEN_DIGESTS,
+                         ids=["ablation", "learnability", "default", "16x8", "40x24-heavy",
+                              "eval-gallery"])
+def test_generated_bytes_match_golden_digest(spec, digest):
+    assert dataset_digest(generate_synthetic(spec)) == digest
+
+
+class TestBodyStamp:
+    """Pasting a cached body stamp equals painting the body, byte for byte."""
+
+    @pytest.mark.parametrize("shape", [(16, 8), (32, 16)])
+    def test_paste_equals_paint_at_every_drawable_position(self, shape):
+        h, w = shape
+        rng = np.random.default_rng(4)
+        signatures = _make_signatures(rng, 6)
+        assert {sig.accessory_side for sig in signatures} == {0, 1}
+        jv = max(1, JITTER_PX // 2)
+        # base_cy in [1, 2], base_cx in w//2 + [-1, 1], then the per-frame jitter
+        positions = [(cy, cx) for cy in range(1 - jv, 2 + jv + 1)
+                     for cx in range(w // 2 - 1 - JITTER_PX, w // 2 + 1 + JITTER_PX + 1)]
+        assert len(positions) == 4 * 7
+        for sig in signatures:
+            for cy, cx in positions:
+                frame = rng.uniform(-1.0, 2.0, (3, h, w))
+                painted = frame.copy()
+                _paint_body(painted, sig, cy, cx)
+                canvas, mask = _body_stamp(sig, (3, h, w), cy, cx)
+                np.copyto(frame, canvas, where=mask)
+                assert frame.tobytes() == painted.tobytes(), (sig.accessory_side, cy, cx)
+
+    def test_blocks_clamped_at_every_edge_paste_equal_paint(self):
+        # the generator never places a body this far out; _paint_body then
+        # clips its blocks at the top, bottom, left and right of the frame
+        rng = np.random.default_rng(0)
+        signatures = _make_signatures(rng, 6)
+        for sig in signatures:
+            for cy, cx in [(0, 0), (0, 1), (3, 0), (12, 8), (14, 7), (15, 4)]:
+                frame = rng.uniform(0.0, 1.0, (3, 16, 8))
+                painted = frame.copy()
+                _paint_body(painted, sig, cy, cx)
+                canvas, mask = _body_stamp(sig, (3, 16, 8), cy, cx)
+                np.copyto(frame, canvas, where=mask)
+                assert frame.tobytes() == painted.tobytes(), (sig.accessory_side, cy, cx)
+
+
+@pytest.mark.parametrize("alpha", [1.0, 0.35])
+def test_blend_equals_the_three_step_blend(alpha):
+    # the frame holds negative pixels and signed zeros, whose products with
+    # 1 - alpha = 0 are -0; an opaque patch must still come out as tint + noise
+    rng = np.random.default_rng(9)
+    frame = rng.uniform(-2.0, 2.0, (3, 16, 8))
+    frame[:, 5, :] = -0.0
+    frame[:, 6, :] = 0.0
+    for color in _PALETTE:
+        noise = rng.normal(0.0, 0.3, (3, 6, 5))
+        blended = frame.copy()
+        patch = blended[:, 3:9, 2:7]
+        patch *= 1.0 - alpha
+        patch += alpha * color[:, None, None]
+        patch += noise
+        _blend(frame, 3, 2, alpha * color[:, None, None], alpha, noise)
+        assert frame.tobytes() == blended.tobytes()
 
 
 class TestValidation:

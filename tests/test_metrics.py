@@ -301,6 +301,36 @@ class TestEvaluateWorkers:
         # two full batches overlap, and a third is never stacked beside them
         assert EMBED_BATCH < counts["most"] <= 2 * EMBED_BATCH
 
+    def test_a_free_worker_takes_the_next_batch_while_an_older_one_runs(self, monkeypatch):
+        ds = tiny_eval_dataset(num_ids=2 * EMBED_BATCH + 3)    # 3 query + 3 gallery batches
+        lock = threading.Lock()
+        others_done = threading.Event()
+        counts = {"started": 0, "others": 0}
+        released = []
+
+        class HoldingModel(StubModel):
+            def embed_clips(self, clips, batch_size=EMBED_BATCH):
+                with lock:
+                    counts["started"] += 1
+                    first = counts["started"] == 1
+                if first:
+                    # set only when the five other batches are embedded, which a
+                    # scheduler that waits for the oldest batch first never lets happen
+                    released.append(others_done.wait(timeout=5))
+                    return super().embed_clips(clips)
+                out = super().embed_clips(clips)
+                with lock:
+                    counts["others"] += 1
+                    if counts["others"] == 5:
+                        others_done.set()
+                return out
+
+        monkeypatch.setattr(blas, "eval_workers", lambda: 2)
+        held = evaluate(HoldingModel(), ds, clip_len=4, max_rank=3)
+        assert released == [True]
+        plain = evaluate(StubModel(), ds, clip_len=4, max_rank=3)
+        assert held.cmc.tobytes() == plain.cmc.tobytes() and held.per_query == plain.per_query
+
     @pytest.mark.parametrize("fail", [False, True])
     def test_modes_are_restored(self, monkeypatch, fail):
         monkeypatch.setattr(blas, "eval_workers", lambda: 2)

@@ -63,6 +63,22 @@ def test_nan_gradient_aborts_with_name_and_step():
         opt.step()
 
 
+def test_nan_in_a_later_gradient_leaves_every_parameter_untouched(rng):
+    first = Parameter(rng.standard_normal(3), dtype=np.float64)
+    second = Parameter(rng.standard_normal(2), dtype=np.float64)
+    opt = Adam({"a": first, "b": second})
+    first.grad, second.grad = rng.standard_normal(3), rng.standard_normal(2)
+    opt.step()
+    before = [first.data.copy(), second.data.copy(), *(a.copy() for a in opt._m.values()),
+              *(a.copy() for a in opt._v.values())]
+    first.grad, second.grad = rng.standard_normal(3), np.array([0.5, np.nan])
+    with pytest.raises(NumericError, match=r"'b'.*step 2"):
+        opt.step()
+    after = [first.data, second.data, *opt._m.values(), *opt._v.values()]
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(before, after))
+    assert opt.step_count == 1
+
+
 def test_matches_reference_adam_trajectory(rng):
     """Cross-check several steps against a straightforward reimplementation."""
     cfg = AdamConfig(lr=1e-2, weight_decay=0.1)
